@@ -307,8 +307,7 @@ func BenchmarkSimWorkflowLarge(b *testing.B) {
 // retained-records Collector alone would hold ~7M records, so the run
 // streams metrics into an Aggregates sink (memory stays O(aggregate
 // state), not O(tasks)) and recycles substrate storage through an arena
-// across iterations; the engine's auto queue selection migrates to the
-// ladder queue once the event population crosses the threshold.
+// across iterations.
 func BenchmarkSimWorkflowHuge(b *testing.B) {
 	b.ReportAllocs()
 	var arena wfsim.Arena

@@ -13,12 +13,6 @@ import (
 )
 
 func kmeansTrace(t *testing.T) []byte {
-	return kmeansTraceQ(t, wfsim.QueueAuto)
-}
-
-// kmeansTraceQ parameterizes the trace run by event-queue kind: the queue
-// choice must never leak into results, so golden tests run it both ways.
-func kmeansTraceQ(t *testing.T, q wfsim.QueueKind) []byte {
 	t.Helper()
 	wf, err := wfsim.BuildKMeans(wfsim.KMeansConfig{
 		Dataset: wfsim.Datasets.KMeansSmall, Grid: 256, Clusters: 10,
@@ -26,7 +20,7 @@ func kmeansTraceQ(t *testing.T, q wfsim.QueueKind) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wfsim.RunSim(wf, wfsim.SimConfig{Device: wfsim.GPU, EventQueue: q})
+	res, err := wfsim.RunSim(wf, wfsim.SimConfig{Device: wfsim.GPU})
 	if err != nil {
 		t.Fatal(err)
 	}

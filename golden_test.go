@@ -26,36 +26,27 @@ import (
 )
 
 func TestGoldenKMeans256Trace(t *testing.T) {
-	// Both queue implementations must reproduce the fixture byte for byte:
-	// the eventQueue contract pops in exactly (at, seq) order, so pinning
-	// the ladder — which the 256-block run would never select on its own —
-	// proves the queue swap is invisible to results, not just usually so.
-	for _, tc := range []struct {
-		name  string
-		queue wfsim.QueueKind
-	}{
-		{"auto", wfsim.QueueAuto},
-		{"ladder", wfsim.QueueLadder},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			raw, err := os.ReadFile("testdata/golden_kmeans256_trace.sha256")
-			if err != nil {
-				t.Fatal(err)
-			}
-			fields := strings.Fields(string(raw))
-			if len(fields) != 2 {
-				t.Fatalf("malformed golden digest file: %q", raw)
-			}
-			wantSum, wantLen := fields[0], fields[1]
+	// "auto" is the simulator's default configuration — the one every
+	// experiment runs — kept as a named case so the fixture's history of
+	// per-configuration results stays comparable.
+	t.Run("auto", func(t *testing.T) {
+		raw, err := os.ReadFile("testdata/golden_kmeans256_trace.sha256")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields := strings.Fields(string(raw))
+		if len(fields) != 2 {
+			t.Fatalf("malformed golden digest file: %q", raw)
+		}
+		wantSum, wantLen := fields[0], fields[1]
 
-			trace := kmeansTraceQ(t, tc.queue)
-			sum := sha256.Sum256(trace)
-			if got := hex.EncodeToString(sum[:]); got != wantSum || fmt.Sprint(len(trace)) != wantLen {
-				t.Fatalf("256-block K-means trace diverged from pre-refactor golden:\n"+
-					"  got  %s (%d bytes)\n  want %s (%s bytes)", got, len(trace), wantSum, wantLen)
-			}
-		})
-	}
+		trace := kmeansTrace(t)
+		sum := sha256.Sum256(trace)
+		if got := hex.EncodeToString(sum[:]); got != wantSum || fmt.Sprint(len(trace)) != wantLen {
+			t.Fatalf("256-block K-means trace diverged from pre-refactor golden:\n"+
+				"  got  %s (%d bytes)\n  want %s (%s bytes)", got, len(trace), wantSum, wantLen)
+		}
+	})
 }
 
 func TestGoldenFig1Render(t *testing.T) {

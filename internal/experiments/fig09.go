@@ -9,6 +9,7 @@ import (
 	"wfsim/internal/apps/kmeans"
 	"wfsim/internal/apps/matmul"
 	"wfsim/internal/dataset"
+	"wfsim/internal/metrics"
 	"wfsim/internal/runner"
 	"wfsim/internal/runtime"
 	"wfsim/internal/tables"
@@ -172,18 +173,11 @@ func measureOnce(build func() (*runtime.Workflow, error), headline string) (floa
 	if err != nil {
 		return 0, err
 	}
-	var sum float64
-	n := 0
-	for _, rec := range res.Collector.Records() {
-		if rec.TaskName == headline {
-			sum += rec.Duration()
-			n++
-		}
-	}
+	mean, n := res.Collector.MeanStage(headline, metrics.StageParallel)
 	if n == 0 {
 		return 0, fmt.Errorf("no %s tasks ran", headline)
 	}
-	return sum / float64(n), nil
+	return mean, nil
 }
 
 // comparePair measures two workflow variants with interleaved repetitions

@@ -142,19 +142,18 @@ func TestWritePRV(t *testing.T) {
 	if err := c.WritePRV(&b); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
-	if !strings.HasPrefix(out, "#Paraver") {
-		t.Fatal("missing Paraver header")
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("PRV lines = %d, want 6", len(lines))
-	}
-	// State records are 8 colon-separated fields starting with "1".
-	for _, l := range lines[1:] {
-		if parts := strings.Split(l, ":"); len(parts) != 8 || parts[0] != "1" {
-			t.Fatalf("bad PRV record %q", l)
-		}
+	// The header carries the span in ns and the record count (5). Each
+	// state line is 1:core+1:1:task+1:1:start_ns:end_ns:stage+1, with
+	// deser = 2, parallel = 4 and serial = 5.
+	want := `#Paraver (wfsim):8000000000_ns:1(5):1:1(5:1)
+1:1:1:1:1:0:1000000000:2
+1:1:1:1:1:1000000000:3000000000:4
+1:2:1:2:1:0:2000000000:2
+1:2:1:2:1:2000000000:6000000000:4
+1:1:1:3:1:6000000000:8000000000:5
+`
+	if got := b.String(); got != want {
+		t.Fatalf("PRV output:\n%s\nwant:\n%s", got, want)
 	}
 }
 

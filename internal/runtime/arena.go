@@ -6,7 +6,7 @@ import (
 )
 
 // Arena recycles a simulated run's substrate allocations across trials:
-// the engine's event-node slabs, heap/ladder storage and proc bookkeeping
+// the engine's event-node slabs, heap and ring storage and proc bookkeeping
 // (sim.Arena), the per-task dependency counters, and the ready-queue
 // input-location slab. A sweep worker that owns an Arena pays these
 // allocations on its first trial only.

@@ -45,12 +45,6 @@ type SimConfig struct {
 	// value disables injection entirely: the run is byte-identical to
 	// one built before the fault machinery existed.
 	Faults faults.Config
-	// EventQueue selects the engine's pending-event queue. The default
-	// (sim.QueueAuto) starts on the 4-ary heap and migrates to the
-	// ladder queue when pending events cross the engine's threshold;
-	// both implementations pop in identical (at, seq) order, so the knob
-	// never changes a run's trace — only its speed at scale.
-	EventQueue sim.QueueKind
 	// Sink, when non-nil, streams every stage record into the given
 	// consumer instead of retaining them in a run-private Collector:
 	// metrics memory becomes O(aggregate state) instead of O(tasks), the
@@ -60,8 +54,8 @@ type SimConfig struct {
 	// a multi-workflow run every session feeds the same sink.
 	Sink metrics.Sink
 	// Arena, when non-nil, recycles substrate storage (event-node slabs,
-	// queue backing, dependency counters, input slabs) across runs that
-	// release into it. One run at a time per arena.
+	// heap and ring backing, dependency counters, input slabs) across
+	// runs that release into it. One run at a time per arena.
 	Arena *Arena
 }
 
@@ -97,11 +91,6 @@ func (c SimConfig) Validate() error {
 		if s <= 0 {
 			return fmt.Errorf("runtime: NodeSpeed[%d] = %v, must be positive", i, s)
 		}
-	}
-	switch c.EventQueue {
-	case sim.QueueAuto, sim.QueueHeap, sim.QueueLadder:
-	default:
-		return fmt.Errorf("runtime: unknown EventQueue kind %d", c.EventQueue)
 	}
 	return nil
 }
@@ -378,7 +367,6 @@ func newSimRun(cfg SimConfig, numDataHint int) (*simRun, error) {
 	} else {
 		eng = sim.New()
 	}
-	eng.SetQueueKind(cfg.EventQueue)
 	clu, err := cluster.Build(eng, cfg.Cluster, *cfg.Params)
 	if err != nil {
 		return nil, err

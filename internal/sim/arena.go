@@ -1,9 +1,9 @@
 package sim
 
 // Arena holds a finished engine's recyclable substrate storage — event-node
-// slabs, the heap's backing array, proc bookkeeping slices and the ladder
-// queue's bucket freelists — so a sweep running thousands of trials warms
-// these allocations once per worker instead of once per trial.
+// slabs, the heap's and the ring's backing arrays and proc bookkeeping
+// slices — so a sweep running thousands of trials warms these allocations
+// once per worker instead of once per trial.
 //
 // Lifetime rules (see DESIGN.md §12): an Arena may be used by one run at a
 // time (runner gives each worker its own); Engine.Release may only be
@@ -17,7 +17,6 @@ type Arena struct {
 	free      []*event
 	heap      eventHeap
 	ring      []ringEntry
-	lq        *ladderQueue
 	allProcs  []*Proc
 	freeProcs []*Proc
 }
@@ -46,9 +45,8 @@ func NewIn(a *Arena) *Engine {
 			e.free = append(e.free, n)
 		}
 	}
-	e.hq.h, a.heap = a.heap, nil
+	e.heap, a.heap = a.heap, nil
 	e.ring, a.ring = a.ring, nil
-	e.spareLQ, a.lq = a.lq, nil
 	e.allProcs, a.allProcs = a.allProcs, nil
 	e.freeProcs, a.freeProcs = a.freeProcs, nil
 	return e
@@ -61,32 +59,9 @@ func (e *Engine) Release(a *Arena) {
 	a.slabs = append(a.slabs, e.slabs...)
 	e.slabs, e.nodeSlab = nil, nil
 	a.free, e.free = e.free[:0], nil
-	a.heap, e.hq.h = e.hq.h[:0], nil
+	a.heap, e.heap = e.heap[:0], nil
 	a.ring, e.ring = e.ring[:0], nil
 	e.ringHead, e.ringLive = 0, 0
-	if e.lq != nil {
-		e.lq.reset()
-		a.lq, e.lq = e.lq, nil
-	}
 	a.allProcs, e.allProcs = e.allProcs[:0], nil
 	a.freeProcs, e.freeProcs = e.freeProcs[:0], nil
-	e.q = &e.hq
-}
-
-// reset empties a drained ladder queue for reuse, keeping its bucket and
-// rung freelists warm. Any resident stale entries (cancelled nodes never
-// reaped) are cleared so no pointer into the previous run's slabs
-// survives.
-func (q *ladderQueue) reset() {
-	for _, r := range q.rungs {
-		q.putRung(r)
-	}
-	q.rungs = q.rungs[:0]
-	clear(q.bottom)
-	q.bottom, q.bot0 = nil, 0
-	clear(q.top)
-	q.top = q.top[:0]
-	q.nlive = 0
-	q.spread = false
-	q.topStart, q.topMax = 0, 0
 }

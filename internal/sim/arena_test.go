@@ -13,9 +13,8 @@ func TestArenaReuse(t *testing.T) {
 	var a Arena
 	var staleEvents []Event
 
-	runOne := func(kind QueueKind, n int) {
+	runOne := func(n int) {
 		e := NewIn(&a)
-		e.SetQueueKind(kind)
 		rng := rand.New(rand.NewPCG(5, uint64(n)))
 		fired := 0
 		last := -1.0
@@ -32,8 +31,7 @@ func TestArenaReuse(t *testing.T) {
 			}
 		}
 		// Cancel a few through their handles; this-run handles must
-		// cancel for real (fired stays below n), covering Cancel against
-		// both queue kinds.
+		// cancel for real (fired stays below n).
 		for _, ev := range staleEvents[:len(staleEvents)/2] {
 			ev.Cancel()
 		}
@@ -44,19 +42,16 @@ func TestArenaReuse(t *testing.T) {
 		staleEvents = staleEvents[:0]
 	}
 
-	runOne(QueueHeap, 2000)
+	runOne(2000)
 	if len(a.slabs) == 0 {
 		t.Fatal("release retained no slabs")
 	}
 	slabs := len(a.slabs)
-	runOne(QueueLadder, 2000) // same size: must need no new slab chunks
+	runOne(2000) // same size: must need no new slab chunks
 	if len(a.slabs) != slabs {
 		t.Fatalf("second run grew slab count %d -> %d despite arena reuse", slabs, len(a.slabs))
 	}
-	if a.lq == nil {
-		t.Fatal("ladder queue was not retained by Release")
-	}
-	runOne(QueueAuto, 500)
+	runOne(500)
 }
 
 // TestArenaCancelSemantics: a handle cancelled in run 1 must not cancel

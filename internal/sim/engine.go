@@ -51,7 +51,7 @@ func (ev Event) Cancel() {
 		n.index = -1
 		n.eng.ringLive--
 	} else {
-		n.eng.q.remove(n)
+		n.eng.heap.remove(n.index)
 	}
 	// The node is intentionally NOT pooled: it keeps its generation and
 	// canceled flag forever, so Canceled() on this handle stays accurate.
@@ -151,7 +151,9 @@ func (h eventHeap) down(i int) bool {
 }
 
 func (h *eventHeap) push(n *event) {
-	*h = append(*h, heapEntry{at: n.at, seq: n.seq, n: n})
+	// Capacity is bounded by the peak pending population and retained
+	// across runs through the Arena, so steady state never grows it.
+	*h = append(*h, heapEntry{at: n.at, seq: n.seq, n: n}) //wfsimlint:allow hotalloc
 	h.up(len(*h) - 1)
 }
 
@@ -198,59 +200,10 @@ func (h *eventHeap) remove(i int) {
 	removed.index = -1
 }
 
-// eventQueue is the pending-event schedule contract: both implementations
-// pop events in exactly (at, seq) order, so the engine's observable event
-// sequence — and therefore every golden fixture — is independent of which
-// queue is active. The 4-ary heap wins below ~10⁴ pending events; the
-// ladder queue's amortized O(1) operations win beyond (see
-// BenchmarkEventQueue), which is why the engine switches adaptively.
-type eventQueue interface {
-	// push enqueues an off-queue node keyed by its current (at, seq).
-	push(n *event)
-	// pop removes and returns the earliest pending node (nil when empty),
-	// leaving n.index < 0.
-	pop() *event
-	// fix re-keys a queued node whose (at, seq) was just updated.
-	fix(n *event)
-	// remove deletes a queued node.
-	remove(n *event)
-	// len reports the number of live queued nodes.
-	len() int
-}
-
-// heapQueue adapts eventHeap to the eventQueue contract.
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) push(n *event) { q.h.push(n) }
-func (q *heapQueue) pop() *event {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h.pop()
-}
-func (q *heapQueue) fix(n *event)    { q.h.fix(n.index) }
-func (q *heapQueue) remove(n *event) { q.h.remove(n.index) }
-func (q *heapQueue) len() int        { return len(q.h) }
-
-// QueueKind selects the engine's pending-event queue implementation.
-type QueueKind int
-
-const (
-	// QueueAuto starts on the 4-ary heap and migrates to the ladder
-	// queue when the pending-event count first crosses ladderThreshold.
-	// This is the default: small runs never pay the ladder's setup, and
-	// million-task runs never pay O(log n) heap pops.
-	QueueAuto QueueKind = iota
-	// QueueHeap pins the 4-ary heap.
-	QueueHeap
-	// QueueLadder pins the ladder queue from the first event.
-	QueueLadder
-)
-
 // ringIndex is the event.index sentinel for nodes parked on the engine's
-// zero-delay ring rather than the queue proper. Off-queue stays exactly
-// -1: every "is this node pending" check in the package tests index != -1,
-// never index < 0, so ring residency reads as scheduled.
+// zero-delay ring rather than the heap. Off-heap stays exactly -1: every
+// "is this node pending" check in the package tests index != -1, never
+// index < 0, so ring residency reads as scheduled.
 const ringIndex = -2
 
 // ringEntry is one zero-delay ring slot. The seq snapshot detects stale
@@ -261,16 +214,6 @@ type ringEntry struct {
 	seq uint64
 	n   *event
 }
-
-// ladderThreshold is the pending-event count at which QueueAuto migrates
-// from the heap to the ladder queue. BenchmarkEventQueue's hold model
-// measures the ladder ahead at every scale (1k: 125 vs 141 ns/op, 32k:
-// 190 vs 215, 1M: 354 vs 452) but it amortizes ~25-85 B/op of bucket
-// storage where the heap is allocation-free — so small runs, which sit
-// under the alloc guard's budget, stay on the heap, and the ladder
-// engages where its O(1) advantage compounds and the amortized bytes
-// vanish against the run's footprint.
-const ladderThreshold = 16384
 
 // Engine is a deterministic discrete-event simulator. The zero value is not
 // usable; construct with New.
@@ -291,16 +234,8 @@ type Engine struct {
 	now float64
 	seq uint64
 
-	// q is the active pending-event queue; hq is the embedded default
-	// heap, lq the ladder queue once instantiated (nil while on the
-	// heap). qkind is the selection policy (see SetQueueKind).
-	q     eventQueue
-	hq    heapQueue
-	lq    *ladderQueue
-	qkind QueueKind
-	// spareLQ is an arena-recycled ladder queue adopted at NewIn, used
-	// (instead of allocating) if this engine migrates.
-	spareLQ *ladderQueue
+	// heap holds every pending event that is not on the ring.
+	heap eventHeap
 
 	// ring is the zero-delay FIFO: events scheduled at exactly the current
 	// instant bypass the heap — ~35% of all events in the workflow runs
@@ -308,9 +243,7 @@ type Engine struct {
 	// sift pair. Seq order equals append order because seq assignment is
 	// globally monotonic, so a plain FIFO preserves the (at, seq) pop
 	// contract; pop still compares against the heap root, which wins a
-	// same-instant tie on a smaller seq. Active only in the heap regime:
-	// migration to the ladder flushes the ring and routes everything
-	// through the ladder (see flushRing).
+	// same-instant tie on a smaller seq.
 	ring     []ringEntry
 	ringHead int
 	ringLive int // non-stale ring entries (for Pending)
@@ -335,86 +268,24 @@ type Engine struct {
 }
 
 // New returns an empty engine with the clock at 0.
-func New() *Engine {
-	e := &Engine{}
-	e.q = &e.hq
-	return e
-}
+func New() *Engine { return &Engine{} }
 
-// SetQueueKind selects the pending-event queue policy. It may be called at
-// any point; pinning a kind the engine is not currently on migrates every
-// pending event in (at, seq) order, so the observable event sequence is
-// unaffected. QueueAuto (the default) keeps whatever queue is active and
-// re-enables threshold-based migration.
-func (e *Engine) SetQueueKind(k QueueKind) {
-	e.qkind = k
-	switch k {
-	case QueueLadder:
-		if e.lq == nil {
-			e.migrateToLadder()
-		}
-	case QueueHeap:
-		if e.lq != nil {
-			e.migrateToHeap()
-		}
-	}
-}
-
-// migrateToLadder drains the heap into a fresh ladder queue in pop order.
-// Both queues pop in exactly (at, seq) order, so migration at any instant
-// preserves the event sequence.
-func (e *Engine) migrateToLadder() {
-	lq := e.spareLQ
-	e.spareLQ = nil
-	if lq == nil {
-		lq = newLadderQueue()
-	}
-	for {
-		n := e.hq.pop()
-		if n == nil {
-			break
-		}
-		lq.push(n)
-	}
-	e.flushRing(lq)
-	e.lq = lq
-	e.q = lq
-}
-
-// migrateToHeap drains the ladder queue back into the heap.
-func (e *Engine) migrateToHeap() {
-	for {
-		n := e.lq.pop()
-		if n == nil {
-			break
-		}
-		e.hq.push(n)
-	}
-	e.lq = nil
-	e.q = &e.hq
-}
-
-// pushNode enqueues n on the active queue and applies the adaptive
-// migration policy: once the heap's pending count crosses ladderThreshold
-// under QueueAuto, the engine moves to the ladder queue for good (pending
-// counts oscillate near a threshold; flapping back would thrash).
+// pushNode enqueues n: onto the zero-delay ring when it fires at the
+// current instant, onto the heap otherwise.
 func (e *Engine) pushNode(n *event) {
-	if n.at == e.now && e.lq == nil {
+	if n.at == e.now {
 		n.index = ringIndex
 		e.ring = append(e.ring, ringEntry{seq: n.seq, n: n})
 		e.ringLive++
 		return
 	}
-	e.q.push(n)
-	if e.qkind == QueueAuto && e.lq == nil && e.hq.len() >= ladderThreshold {
-		e.migrateToLadder()
-	}
+	e.heap.push(n)
 }
 
-// popNode removes and returns the earliest pending event across the queue
+// popNode removes and returns the earliest pending event across the heap
 // and the zero-delay ring, or nil when both are empty. Every non-stale ring
 // entry fires at the current instant (the clock cannot advance past an
-// undrained minimum), so the queue wins only when its root shares the
+// undrained minimum), so the heap wins only when its root shares the
 // instant with a smaller sequence number — the one case where events
 // scheduled earlier at this timestamp must fire before a ring entry.
 func (e *Engine) popNode() *event {
@@ -431,11 +302,14 @@ func (e *Engine) popNode() *event {
 			e.ring = e.ring[:0]
 			e.ringHead = 0
 		}
-		return e.q.pop()
+		if len(e.heap) == 0 {
+			return nil
+		}
+		return e.heap.pop()
 	}
 	ent := &e.ring[e.ringHead]
-	if h := e.hq.h; len(h) > 0 && h[0].at == ent.n.at && h[0].seq < ent.seq {
-		return e.q.pop()
+	if h := e.heap; len(h) > 0 && h[0].at == ent.n.at && h[0].seq < ent.seq {
+		return e.heap.pop()
 	}
 	n := ent.n
 	ent.n = nil
@@ -443,23 +317,6 @@ func (e *Engine) popNode() *event {
 	e.ringLive--
 	n.index = -1
 	return n
-}
-
-// flushRing drains every live ring entry into q, keyed by its existing
-// (at, seq) — the queue orders them, so insertion order is irrelevant.
-func (e *Engine) flushRing(q eventQueue) {
-	for e.ringHead < len(e.ring) {
-		ent := &e.ring[e.ringHead]
-		if ent.n.index == ringIndex && ent.n.seq == ent.seq {
-			ent.n.index = -1
-			q.push(ent.n)
-		}
-		ent.n = nil
-		e.ringHead++
-	}
-	e.ring = e.ring[:0]
-	e.ringHead = 0
-	e.ringLive = 0
 }
 
 // Now returns the current virtual time in seconds.
@@ -534,12 +391,10 @@ func (e *Engine) fixNode(n *event, delay float64) {
 	n.seq = e.seq
 	switch {
 	case n.index >= 0:
-		e.q.fix(n)
+		e.heap.fix(n.index)
 	case n.index == ringIndex:
 		// The old ring entry went stale the moment seq changed. Re-ring
-		// when still at the current instant (the ring exists only in the
-		// heap regime, and a node can only be ring-resident then);
-		// otherwise fall back to the queue.
+		// when still at the current instant; otherwise move to the heap.
 		if n.at == e.now {
 			e.ring = append(e.ring, ringEntry{seq: n.seq, n: n})
 		} else {
@@ -654,7 +509,6 @@ func (e *Engine) stopProcs() {
 }
 
 // Pending returns the number of live scheduled events. Cancelled events
-// never count: the heap removes them immediately, and the ladder queue
-// decrements its live count at Cancel even though the entry is reaped
-// lazily.
-func (e *Engine) Pending() int { return e.q.len() + e.ringLive }
+// never count: the heap removes them immediately, and the ring decrements
+// its live count at Cancel even though the stale entry is reaped lazily.
+func (e *Engine) Pending() int { return len(e.heap) + e.ringLive }

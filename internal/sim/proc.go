@@ -202,12 +202,11 @@ func (p *Proc) unpark() {
 // the clock advances in place, skipping the schedule/park/pop/resume
 // cycle (two coroutine switches and a heap push+pop). The strictness
 // matters: a pending event at exactly the resume instant holds a smaller
-// seq and must run first, so ties take the slow path. Heap regime only;
-// the ladder queue has no cheap peek.
+// seq and must run first, so ties take the slow path.
 func (p *Proc) Wait(d float64) {
 	e := p.eng
-	if e.lq == nil && d >= 0 && e.ringLive == 0 {
-		if t := e.now + d; len(e.hq.h) == 0 || t < e.hq.h[0].at {
+	if d >= 0 && e.ringLive == 0 {
+		if t := e.now + d; len(e.heap) == 0 || t < e.heap[0].at {
 			e.now = t
 			return
 		}

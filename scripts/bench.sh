@@ -12,7 +12,7 @@ set -eu
 
 label=
 count=5
-bench='Sim(Engine|Handoff|LinkChurn|ServerContention|Workflow|WorkflowLarge|WorkflowHuge)$|^Benchmark(DAGBuild|LocalityPlace|HEFTPlace|WorkStealNext|EventQueue)$'
+bench='Sim(Engine|Handoff|LinkChurn|ServerContention|Workflow|WorkflowLarge|WorkflowHuge)$|^Benchmark(DAGBuild|LocalityPlace|HEFTPlace|WorkStealNext)$'
 
 usage() {
     echo "usage: scripts/bench.sh -label <label> [-count N] [-bench <regexp>]" >&2
@@ -29,7 +29,5 @@ while [ $# -gt 0 ]; do
 done
 [ -n "$label" ] || usage
 
-# BenchmarkEventQueue (the data behind the engine's adaptive ladder
-# threshold) lives in internal/sim; everything else is in the root package.
-go test -run '^$' -bench "$bench" -benchmem -count "$count" . ./internal/sim |
+go test -run '^$' -bench "$bench" -benchmem -count "$count" . |
     go run scripts/benchsnap.go -label "$label"

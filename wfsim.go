@@ -41,7 +41,6 @@ import (
 	"wfsim/internal/runtime"
 	"wfsim/internal/sched"
 	"wfsim/internal/service"
-	"wfsim/internal/sim"
 	"wfsim/internal/storage"
 )
 
@@ -134,19 +133,6 @@ const (
 	BLevel          = sched.BLevel
 	MinMin          = sched.MinMin
 	WorkStealing    = sched.WorkSteal
-)
-
-// QueueKind selects the engine's pending-event queue implementation.
-type QueueKind = sim.QueueKind
-
-// Event-queue selection (SimConfig.EventQueue). QueueAuto — the zero
-// value — starts on the heap and migrates to the ladder queue when the
-// pending-event population crosses the engine's threshold; the choice
-// never changes a run's trace, only its speed at scale.
-const (
-	QueueAuto   = sim.QueueAuto
-	QueueHeap   = sim.QueueHeap
-	QueueLadder = sim.QueueLadder
 )
 
 // NewWorkflow returns an empty workflow.
