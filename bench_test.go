@@ -190,21 +190,61 @@ func BenchmarkSimEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkSimHandoff measures the cost of one park/resume cycle: a process
-// blocking on Wait hands the baton off and takes it back — the dominant
-// operation of every simulated task (queueing, I/O, compute stages are all
-// Waits). Steady state should allocate nothing.
+// ticker is an activity that waits a fixed step n times.
+type ticker struct {
+	act  sim.Activity
+	left int
+	dt   float64
+}
+
+func (k *ticker) Step() {
+	for k.left > 0 {
+		k.left--
+		if !k.act.Wait(k.dt) {
+			return
+		}
+	}
+}
+
+// BenchmarkSimHandoff measures the cost of one park/resume cycle: an
+// activity whose Wait cannot take the fast path schedules its wake-up and
+// returns, and the engine pops the wake-up and re-enters its step — the
+// dominant operation of every simulated task (queueing, I/O and compute
+// stages all end in one). Two tickers offset by half a step keep each
+// other's wake-up pending, so every Wait parks. Steady state should
+// allocate nothing beyond the per-op engine and tickers.
 func BenchmarkSimHandoff(b *testing.B) {
 	b.ReportAllocs()
+	const waits, dt = 1000, 1e-6
 	for i := 0; i < b.N; i++ {
 		e := sim.New()
-		e.Go("h", func(p *sim.Proc) {
-			for j := 0; j < 1000; j++ {
-				p.Wait(1e-6)
-			}
-		})
+		for _, offset := range []float64{0, dt / 2} {
+			k := &ticker{left: waits, dt: dt}
+			k.act.Init(e, k)
+			e.Start(&k.act, offset)
+		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
+		}
+		if st := e.Stats(); st.FastWaits != 0 || st.Dispatched != 2*waits+2 {
+			b.Fatalf("stats %+v: want every Wait parked (%d dispatches, no fast waits)", st, 2*waits+2)
+		}
+	}
+}
+
+// churner is an activity moving a series of transfers over one link.
+type churner struct {
+	act  sim.Activity
+	link *sim.Link
+	j, n int
+}
+
+func (c *churner) Step() {
+	for c.j < c.n {
+		bytes := 1000 + float64(c.j)
+		c.j++
+		if !c.link.Transfer(&c.act, bytes) {
+			return
 		}
 	}
 }
@@ -218,13 +258,9 @@ func BenchmarkSimLinkChurn(b *testing.B) {
 		e := sim.New()
 		l := sim.NewLink(e, "net", 1e6, 0)
 		for w := 0; w < 8; w++ {
-			w := w
-			e.Go("t", func(p *sim.Proc) {
-				p.Wait(float64(w) * 1e-4) // staggered: constant join/leave churn
-				for j := 0; j < 125; j++ {
-					l.Transfer(p, 1000+float64(j))
-				}
-			})
+			c := &churner{link: l, n: 125}
+			c.act.Init(e, c)
+			e.Start(&c.act, float64(w)*1e-4) // staggered: constant join/leave churn
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
@@ -232,8 +268,41 @@ func BenchmarkSimLinkChurn(b *testing.B) {
 	}
 }
 
+// contender is an activity that repeatedly holds a server slot for a
+// fixed time.
+type contender struct {
+	act  sim.Activity
+	srv  *sim.Server
+	pc   int // 0: acquire next, 1: slot held, 2: work done
+	j, n int
+}
+
+func (c *contender) Step() {
+	for {
+		switch c.pc {
+		case 0:
+			if c.j == c.n {
+				return
+			}
+			c.j++
+			c.pc = 1
+			if !c.srv.Acquire(&c.act) {
+				return
+			}
+		case 1:
+			c.pc = 2
+			if !c.act.Wait(1e-5) {
+				return
+			}
+		case 2:
+			c.srv.Release()
+			c.pc = 0
+		}
+	}
+}
+
 // BenchmarkSimServerContention measures FIFO queue pressure: many more
-// processes than slots, so nearly every Acquire queues and every Release
+// activities than slots, so nearly every Acquire queues and every Release
 // performs a direct handoff to the head waiter.
 func BenchmarkSimServerContention(b *testing.B) {
 	b.ReportAllocs()
@@ -241,13 +310,9 @@ func BenchmarkSimServerContention(b *testing.B) {
 		e := sim.New()
 		srv := sim.NewServer(e, "cpu", 4)
 		for w := 0; w < 32; w++ {
-			e.Go("t", func(p *sim.Proc) {
-				for j := 0; j < 32; j++ {
-					srv.Acquire(p)
-					p.Wait(1e-5)
-					srv.Release()
-				}
-			})
+			c := &contender{srv: srv, n: 32}
+			c.act.Init(e, c)
+			e.Start(&c.act, 0)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"wfsim/internal/dataset"
@@ -27,6 +28,33 @@ func mustRun(t *testing.T, id string) Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// fig9bOnce holds the one fig9b run of the test binary: the experiment
+// times real kernels on the host for tens of seconds, so the calibration
+// and render tests assert on a shared run instead of timing it twice.
+var fig9bOnce struct {
+	sync.Once
+	res Result
+	err error
+}
+
+// fig9b returns the shared fig9b result, running the experiment on first
+// use.
+func fig9b(t *testing.T) *Fig9bResult {
+	t.Helper()
+	fig9bOnce.Do(func() {
+		e, err := ByID("fig9b")
+		if err != nil {
+			fig9bOnce.err = err
+			return
+		}
+		fig9bOnce.res, fig9bOnce.err = e.Run(context.Background(), runner.New(0))
+	})
+	if fig9bOnce.err != nil {
+		t.Fatal(fig9bOnce.err)
+	}
+	return fig9bOnce.res.(*Fig9bResult)
 }
 
 func TestCalibrationFig1(t *testing.T) {
@@ -249,7 +277,7 @@ func TestCalibrationFig9bSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-execution timing experiment")
 	}
-	r := mustRun(t, "fig9b").(*Fig9bResult)
+	r := fig9b(t)
 	for _, p := range r.Points {
 		// Real kernels on uniform vs skewed data: the paper finds no
 		// effect. Wall-clock noise (this test shares the machine with the

@@ -199,6 +199,14 @@ func RunCell(cfg CellConfig) (Cell, error) {
 	return runCell(cfg, &cellScratch{agg: metrics.NewAggregates()})
 }
 
+// RunCellOn is RunCell for a trial running on a runner worker: the cell
+// reuses the worker slot's simulation arena and aggregator, as RunCells
+// trials do, so a service answering one cell per trial warms them once
+// per worker instead of once per cell. Outside a worker it is RunCell.
+func RunCellOn(ctx context.Context, cfg CellConfig) (Cell, error) {
+	return runCell(cfg, scratchOf(ctx))
+}
+
 // runCell is RunCell with caller-provided scratch. Records stream into
 // scratch.agg as the simulation produces them — the run never materializes
 // a per-task record table — and every aggregate query below reproduces the

@@ -74,7 +74,7 @@ func TestRenderFig9b(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real execution")
 	}
-	out := renderOf(t, "fig9b")
+	out := fig9b(t).Render()
 	assertContains(t, out,
 		"Figure 9b",
 		"0% skew", "50% skew",

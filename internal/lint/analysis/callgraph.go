@@ -22,7 +22,7 @@ import (
 // The graph is intentionally static: calls through interfaces, function
 // variables, and channels of functions produce no edge. Analyzers that
 // need those targets (hotalloc's scheduler implementations, simblock's
-// process bodies) add them as roots directly.
+// step bodies) add them as roots directly.
 
 // A FuncNode is one function in the call graph: a declared function or
 // method (Decl set) or a function literal (Lit set).

@@ -93,7 +93,7 @@ func (p *ModulePass) IsTestFile(pos token.Pos) bool {
 // FuncAnnotation reports whether fn's doc comment carries the line
 // "//wfsimlint:<name>" — a function-level tag. The hotalloc analyzer
 // uses "//wfsimlint:hotpath" to add hot-path roots; simblock uses
-// "//wfsimlint:procbody" to mark functions that run as process bodies
+// "//wfsimlint:stepbody" to mark functions that run as step bodies
 // through indirections the call graph cannot see.
 func FuncAnnotation(fn *ast.FuncDecl, name string) bool {
 	if fn == nil || fn.Doc == nil {

@@ -18,7 +18,7 @@ import (
 //
 // Roots (the steady-state entry points, mirrored from the alloc guard's
 // coverage): the sim event loop (Engine.Run), the runtime dispatch path
-// (grantNext, taskProc, enqueue, completeTask), every scheduler's
+// (grantNext, taskRun.Step, enqueue, completeTask), every scheduler's
 // Place/Next/NextFor, and the streaming metrics sink
 // (Aggregates.Observe). Additional roots can be declared by annotating a
 // function's doc comment with //wfsimlint:hotpath. Reachability is
@@ -60,7 +60,7 @@ type hotRootSpec struct {
 var hotRoots = []hotRootSpec{
 	{"wfsim/internal/sim", "Engine", "Run"},
 	{"wfsim/internal/runtime", "simRun", "grantNext"},
-	{"wfsim/internal/runtime", "simRun", "taskProc"},
+	{"wfsim/internal/runtime", "taskRun", "Step"},
 	{"wfsim/internal/runtime", "simRun", "enqueue"},
 	{"wfsim/internal/runtime", "simRun", "completeTask"},
 	{"wfsim/internal/sched", "", "Place"},
@@ -188,7 +188,7 @@ func checkHotFunc(pass *analysis.ModulePass, n *analysis.FuncNode, root *analysi
 	// the defining (hot) function.
 	for _, lit := range n.Lits {
 		if capd := capturedVars(info, lit); len(capd) > 0 {
-			pass.Reportf(lit.Pos(), "closure captures %s and allocates its environment in the steady-state simulate path%s; hoist the closure to setup and reuse it (the taskProcFn pattern)", quoteList(capd), via)
+			pass.Reportf(lit.Pos(), "closure captures %s and allocates its environment in the steady-state simulate path%s; hoist the closure to setup and reuse it (the bound-once requestFn pattern)", quoteList(capd), via)
 		}
 	}
 }

@@ -1,8 +1,10 @@
-// Package simblock is the fixture for the simblock rule: process bodies
-// handed to Engine.Go/GoAfter — directly, as literals, as method values,
-// or through a bound-once field — must not block the engine's single
-// coroutine thread, and neither may anything they call. Identical
-// constructs outside any process body pass clean.
+// Package simblock is the fixture for the simblock rule: step bodies the
+// engine's dispatch loop runs inline — the Step of an owner bound with
+// Activity.Init, Engine.Schedule callbacks and ServiceLine grant
+// callbacks, given directly, as literals, as method values, or through a
+// bound-once field — must not block the engine's dispatch thread, and neither may
+// anything they call. Identical constructs outside any step body pass
+// clean.
 package simblock
 
 import (
@@ -14,71 +16,87 @@ import (
 )
 
 type worker struct {
+	act    simblockeng.Activity
 	mu     sync.Mutex
-	bodyFn func(*simblockeng.Proc) // bound once at setup, spawned later
+	tickFn func() // bound once at setup, scheduled later
 	done   chan int
 }
 
-// Start wires the fixture's process bodies: a named function, a bound
-// method traced through the bodyFn field, and an inline literal.
-func Start(e *simblockeng.Engine, w *worker) {
-	w.bodyFn = w.step
-	e.Go("direct", directBody)
-	e.GoAfter("bound", 1, w.bodyFn)
-	e.Go("inline", func(p *simblockeng.Proc) {
-		time.Sleep(time.Millisecond) // want `time.Sleep inside a simulated process body waits on the host clock`
-		p.Wait(1)
+// Start wires the fixture's step bodies: an activity owner (its Step
+// method), a named function and an inline literal handed to Schedule, a
+// bound method traced through the tickFn field, and a grant callback.
+func Start(e *simblockeng.Engine, w *worker, gate *simblockeng.ServiceLine) {
+	w.act.Init(e, w)
+	e.Start(&w.act, 0)
+	e.Schedule(1, directBody)
+	w.tickFn = w.tick
+	e.Schedule(2, w.tickFn)
+	e.Schedule(3, func() {
+		time.Sleep(time.Millisecond) // want `time.Sleep inside a simulated step body waits on the host clock`
+		w.act.Wait(1)
 	})
+	gate.SetOnGrant(w.grant)
 }
 
-// directBody is a process body by virtue of the e.Go call above; its own
+// directBody is a step body by virtue of the Schedule call above; its own
 // statements and everything it calls are checked.
-func directBody(p *simblockeng.Proc) {
-	p.Wait(2) // clean: virtual waiting is the approved primitive
-	helper(p)
-	go helper(p) // want `go statement inside a simulated process body spawns a real goroutine`
+func directBody() {
+	helper()
+	go helper() // want `go statement inside a simulated step body spawns a real goroutine`
 }
 
-// helper is one hop from a process body: still checked.
-func helper(p *simblockeng.Proc) {
+// helper is one hop from a step body: still checked.
+func helper() {
 	ch := make(chan int, 1)
-	ch <- 1  // want `channel send inside a simulated process body`
-	<-ch     // want `channel receive inside a simulated process body`
-	select { // want `select inside a simulated process body`
-	case v := <-ch: // want `channel receive inside a simulated process body`
+	ch <- 1  // want `channel send inside a simulated step body`
+	<-ch     // want `channel receive inside a simulated step body`
+	select { // want `select inside a simulated step body`
+	case v := <-ch: // want `channel receive inside a simulated step body`
 		_ = v
 	default:
 	}
 }
 
-// step runs as a process through the bodyFn indirection; the rule traces
-// the field back to this assignment.
-func (w *worker) step(p *simblockeng.Proc) {
-	w.mu.Lock() // want `sync Mutex.Lock inside a simulated process body`
+// Step is the activity's step: a mutex inside it is flagged.
+func (w *worker) Step() {
+	if !w.act.Wait(2) { // clean: virtual waiting is the approved primitive
+		return
+	}
+	w.mu.Lock() // want `sync Mutex.Lock inside a simulated step body`
 	w.mu.Unlock()
-	fmt.Println("step")     // want `fmt.Println writes to a real stream inside a simulated process body`
-	for v := range w.done { // want `ranging over a channel inside a simulated process body`
+}
+
+// tick runs through the tickFn indirection; the rule traces the field
+// back to this assignment.
+func (w *worker) tick() {
+	fmt.Println("tick")     // want `fmt.Println writes to a real stream inside a simulated step body`
+	for v := range w.done { // want `ranging over a channel inside a simulated step body`
 		_ = v
 	}
 }
 
-// annotatedBody runs as a process only via the doc-comment annotation —
-// the spawn happens through an indirection the call graph cannot see.
+// grant is a ServiceLine grant callback.
+func (w *worker) grant() {
+	w.done <- 1 // want `channel send inside a simulated step body`
+}
+
+// annotatedBody runs as a step only via the doc-comment annotation — the
+// hand-off happens through an indirection the call graph cannot see.
 //
-//wfsimlint:procbody
-func annotatedBody(p *simblockeng.Proc) {
-	time.Sleep(time.Second) // want `time.Sleep inside a simulated process body`
-	waved(p)
+//wfsimlint:stepbody
+func annotatedBody() {
+	time.Sleep(time.Second) // want `time.Sleep inside a simulated step body`
+	waved()
 }
 
 // waved carries a deliberate, line-annotated exception.
-func waved(p *simblockeng.Proc) {
+func waved() {
 	time.Sleep(time.Millisecond) //wfsimlint:allow simblock
 }
 
-// Drive is ordinary (non-process) code: the same constructs are fine
-// here — this is what keeps the rule reachability-scoped rather than a
-// blanket channel ban.
+// Drive is ordinary (non-step) code: the same constructs are fine here —
+// this is what keeps the rule reachability-scoped rather than a blanket
+// channel ban.
 func Drive(e *simblockeng.Engine, w *worker) {
 	w.mu.Lock()
 	w.mu.Unlock()

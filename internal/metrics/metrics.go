@@ -171,10 +171,11 @@ func (c *Collector) decode(r crec) Record {
 
 // Grow pre-sizes the record buffer for at least n additional records, so a
 // run whose record count is known up front (tasks × stages) appends without
-// reallocating mid-simulation.
+// reallocating mid-simulation. Like Observe it belongs to the single-writer
+// path and must not race with Add: the simulated backend calls it from
+// inside the engine's dispatch loop, where sync locking is forbidden
+// (wfsimlint simblock).
 func (c *Collector) Grow(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if free := cap(c.recs) - len(c.recs); free < n {
 		grown := make([]crec, len(c.recs), len(c.recs)+n)
 		copy(grown, c.recs)

@@ -6,18 +6,20 @@ import (
 )
 
 // Arena recycles a simulated run's substrate allocations across trials:
-// the engine's event-node slabs, heap and ring storage and proc bookkeeping
-// (sim.Arena), the per-task dependency counters, and the ready-queue
-// input-location slab. A sweep worker that owns an Arena pays these
-// allocations on its first trial only.
+// the engine's event-node slabs, heap and ring storage (sim.Arena), the
+// pooled task-run step machines, the per-task dependency counters, and
+// the ready-queue input-location slab. A sweep worker that owns an Arena
+// pays these allocations on its first trial only.
 //
 // An Arena may serve one run at a time — sharing one across concurrent
 // RunSim calls is a data race. internal/runner hands each worker its own
 // per-worker state for exactly this reason. Everything an Arena retains
-// is either re-stamped (event nodes) or zeroed (dependency counters) on
-// reuse; see DESIGN.md §12 for the full lifetime rules.
+// is either re-stamped (event nodes, task runs) or zeroed (dependency
+// counters) on reuse; see DESIGN.md §12 for the full lifetime rules.
 type Arena struct {
 	nodes     sim.Arena
+	runs      []*taskRun
+	runSlab   []taskRun
 	remaining []int
 	inputs    []sched.DataLoc
 	load      []int

@@ -109,7 +109,7 @@ func TestLIFOSchedAttribution(t *testing.T) {
 // loudly instead of being served as free local scratch.
 func TestUnknownReadAssertion(t *testing.T) {
 	wf := fanWorkflow(1, testProf)
-	r := &simRun{}
+	run := &taskRun{r: &simRun{}, task: wf.Graph.Task(0)}
 	defer func() {
 		msg, ok := recover().(string)
 		if !ok {
@@ -119,7 +119,7 @@ func TestUnknownReadAssertion(t *testing.T) {
 			t.Fatalf("panic does not name the invariant: %q", msg)
 		}
 	}()
-	r.panicUnknownRead(wf.Graph.Task(0), 0)
+	run.recoverInput(sched.DataLoc{ID: 0})
 }
 
 // faultCfg is an aggressive crash schedule relative to the grid workflow's

@@ -6,6 +6,7 @@ import (
 
 	"wfsim/internal/metrics"
 	"wfsim/internal/sched"
+	"wfsim/internal/sim"
 )
 
 // TenantSpec configures one workload stream sharing the cluster.
@@ -188,6 +189,11 @@ func (c *ClusterSim) Now() float64 { return c.run.eng.Now() }
 // Utilization returns the cluster's mean core and GPU busy fractions
 // over the elapsed virtual time.
 func (c *ClusterSim) Utilization() (core, gpu float64) { return c.run.utilization() }
+
+// EngineStats reports the discrete-event engine's counters for the shared
+// clock: events dispatched, fast-path waits, zero-delay ring hits, peak
+// pending.
+func (c *ClusterSim) EngineStats() sim.Stats { return c.run.eng.Stats() }
 
 // FaultStats reports failure-injection activity across every session
 // (zero when injection is disabled).

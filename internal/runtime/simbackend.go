@@ -143,6 +143,9 @@ type SimResult struct {
 	SchedDecisions int
 	// Faults reports failure-injection activity (zero when disabled).
 	Faults FaultStats
+	// Engine counts what the discrete-event engine did: events
+	// dispatched, fast-path waits, zero-delay ring hits, peak pending.
+	Engine sim.Stats
 }
 
 // RunSim executes the workflow on the simulated cluster and returns the
@@ -196,6 +199,7 @@ func RunSim(wf *Workflow, cfg SimConfig) (*SimResult, error) {
 		Collector:      s.collector,
 		Makespan:       run.eng.Now(),
 		SchedDecisions: s.done,
+		Engine:         run.eng.Stats(),
 	}
 	if run.faults != nil {
 		run.stats.Episodes = run.faults.Episodes()
@@ -203,9 +207,10 @@ func RunSim(wf *Workflow, cfg SimConfig) (*SimResult, error) {
 	}
 	res.CoreUtilization, res.GPUUtilization = run.utilization()
 	if a := cfg.Arena; a != nil {
-		// The engine is drained; donate its substrate storage back for
-		// the caller's next trial.
+		// The engine is drained; donate its substrate storage and the
+		// idle task runs back for the caller's next trial.
 		run.eng.Release(&a.nodes)
+		run.releaseRuns(a)
 	}
 	return res, nil
 }
@@ -331,14 +336,19 @@ type simRun struct {
 	store     storage.System
 	scheduler sched.Scheduler
 
-	queue      sched.Queue
-	granted    sched.Queue     // refs popped at grant instants, consumed in grant order
-	view       sched.View      // reused across every placement decision
-	taskProcFn func(*sim.Proc) // bound once; a per-enqueue method value would allocate
-	requestFn  func()          // bound once: Master.Request
-	load       []int           // outstanding tasks per node
-	slots      [][]uint64      // per-node free-core bitmap (bit set = free)
-	inputSlab  []sched.DataLoc
+	queue     sched.Queue
+	granted   sched.Queue // refs popped at grant instants, consumed in start order
+	view      sched.View  // reused across every placement decision
+	requestFn func()      // bound once: Master.Request
+	load      []int       // outstanding tasks per node
+	slots     [][]uint64  // per-node free-core bitmap (bit set = free)
+	inputSlab []sched.DataLoc
+
+	// Task-run pool: idle step machines, reused across dispatches and,
+	// through the Arena, across trials. runSlab is the chunk fresh runs
+	// are carved from.
+	runs    []*taskRun
+	runSlab []taskRun
 
 	sessions       []*session
 	active         int   // sessions submitted and not yet finished
@@ -387,15 +397,15 @@ func newSimRun(cfg SimConfig, numDataHint int) (*simRun, error) {
 	if a := cfg.Arena; a != nil {
 		r.load = a.grabLoad(cfg.Cluster.Nodes)
 		r.inputSlab = a.inputs[:0]
+		r.adoptRuns(a)
 	} else {
 		r.load = make([]int, cfg.Cluster.Nodes)
 	}
-	r.taskProcFn = r.taskProc
 	r.requestFn = clu.Master.Request
 	// The master grant callback pops the ready queue at the exact grant
-	// instant and schedules the task process to start once the decision's
-	// service time has elapsed. Dispatch requests are procless events, so a
-	// ready task costs no goroutine handoffs until it is actually granted.
+	// instant and starts a task run once the decision's service time has
+	// elapsed. Dispatch requests are plain events, so a ready task holds
+	// no task run until the master actually grants it.
 	clu.Master.SetOnGrant(r.grantNext)
 	// The scheduler view is stable for the whole run: Load and Locate are
 	// live references into the run state, so one View serves every
@@ -543,30 +553,6 @@ func (r *simRun) utilization() (core, gpu float64) {
 	return core, gpu
 }
 
-// attemptOutcome classifies how one placed attempt of a task ended.
-type attemptOutcome int
-
-const (
-	// attemptDone: the attempt ran the full Figure 4 pipeline.
-	attemptDone attemptOutcome = iota
-	// attemptCrashed: the node crashed under the attempt; re-queue now.
-	attemptCrashed
-	// attemptFailed: injected transient failure; retry with backoff.
-	attemptFailed
-	// attemptLostInput: an input block is gone; the attempt registered
-	// itself with the producer's waiters and lineage recovery is under
-	// way.
-	attemptLostInput
-)
-
-// attemptRecs buffers one attempt's stage records so an aborted attempt
-// leaves a single StageRecovery span instead of a torn half-pipeline.
-// Fault-free runs bypass the buffer and append records directly.
-type attemptRecs struct {
-	recs [metrics.NumStages]metrics.Record
-	n    int
-}
-
 // acquireSlot returns the lowest free core index on a node, so repeated
 // waves reuse the same physical cores — required for the paper's per-core
 // (de)serialization aggregation to be meaningful. The free set is a
@@ -580,6 +566,8 @@ func (r *simRun) acquireSlot(node int) int {
 			return w*64 + bit
 		}
 	}
+	// Fatal invariant violation: formats once, then the run dies.
+	//wfsimlint:allow hotalloc
 	panic(fmt.Sprintf("runtime: no free core slot on node %d despite server grant", node))
 }
 
@@ -628,10 +616,8 @@ func (r *simRun) borrowInputs(n int) []sched.DataLoc {
 }
 
 // enqueue registers a ready task and files a dispatch request with the
-// master. The request is a zero-delay engine event — it takes the schedule
-// position the dispatch process's start node used to occupy, so dispatch
-// order is unchanged — and no process exists until the master grants the
-// request (grantNext). The enqueue instant rides with the ref so queue
+// master. The request is a zero-delay engine event, and no task run exists
+// until the master grants the request (grantNext). The enqueue instant rides with the ref so queue
 // disciplines that reorder dispatch still attribute the correct wait.
 //
 // In multi-tenant mode the tenant's admission quota is enforced here, not
@@ -710,31 +696,12 @@ func (r *simRun) releaseQuota(s *session, taskID int) {
 	}
 }
 
-// rec appends one stage record, into buf when the attempt is buffered
-// (fault runs) or straight to the session's collector (fault-free hot
-// path). Explicit arguments instead of a per-task closure keep the record
-// path allocation-free.
-func (r *simRun) rec(s *session, buf *attemptRecs, task *dag.Task, nodeID, core int,
-	dev costmodel.DeviceKind, stage metrics.Stage, start, end float64) {
-	rec := metrics.Record{
-		TaskID: task.ID, TaskName: task.Name, Level: task.Level,
-		Node: nodeID, Core: core, Device: dev.String(),
-		Stage: stage, Start: start, End: end,
-	}
-	if buf != nil {
-		buf.recs[buf.n] = rec
-		buf.n++
-		return
-	}
-	s.sink.Observe(rec)
-}
-
 // grantNext runs engine-side at the instant the master is granted to the
 // oldest outstanding dispatch request: it pops the policy's pick from the
 // ready queue — the task actually dispatched is whichever the policy
-// selects at this exact instant — and schedules the task process to start
-// once the policy's decision time has elapsed. The master stays held until
-// that process places the task and calls End.
+// selects at this exact instant — and starts a task run once the policy's
+// decision time has elapsed. The master stays held until that run places
+// the task and calls End.
 //
 // In multi-tenant mode the fair-share gate picks the tenant first, then
 // the policy picks within that tenant's refs; single-workflow runs take
@@ -756,315 +723,7 @@ func (r *simRun) grantNext() {
 		panic("runtime: ready queue empty at dispatch")
 	}
 	r.granted.Push(ref)
-	r.eng.GoAfter("task", r.scheduler.Overhead(r.params, qlen, r.cfg.Cluster.Nodes), r.taskProcFn)
-}
-
-// taskProc is the full lifecycle of one dispatched task, starting at the
-// instant its scheduling decision completes: placement on the master, the
-// Figure 4 pipeline on the placed node, then completion bookkeeping or —
-// under fault injection — the recovery policy for the attempt's outcome.
-func (r *simRun) taskProc(p *sim.Proc) {
-	// --- Scheduling epilogue: the grant and decision delay already
-	// happened engine-side (grantNext); this process starts with the
-	// master held, places the task, and releases the master.
-	ref, _ := r.granted.PopFront()
-	s := r.sessions[ref.Session]
-	nodeID := r.scheduler.Place(ref, &r.view)
-	if nodeID < 0 && r.faults != nil && !r.faults.AnyUp() {
-		// Every node is down. Park the ref; the next repair re-files it
-		// (onNodeRepair) with its original enqueue instant intact.
-		r.stats.Stalls++
-		r.stalled.Push(ref)
-		r.clu.Master.End()
-		return
-	}
-	r.clu.Master.End()
-	if nodeID < 0 || nodeID >= r.cfg.Cluster.Nodes {
-		panic(fmt.Sprintf("runtime: scheduler placed task %d on invalid node %d", ref.ID, nodeID))
-	}
-	r.load[nodeID]++
-
-	task := s.wf.Graph.Task(ref.ID)
-	switch r.runAttempt(p, s, ref, task, nodeID) {
-	case attemptDone:
-		if r.faults != nil {
-			// Transient-failure exhaustion counts consecutive failures: a
-			// success (including lineage re-execution) proves the task can
-			// make progress and resets its budget.
-			s.attempts[task.ID] = 0
-		}
-		r.completeTask(s, task)
-	case attemptCrashed:
-		r.stats.CrashRequeues++
-		r.enqueue(s, task)
-	case attemptFailed:
-		r.stats.TransientFailures++
-		s.attempts[task.ID]++
-		n := int(s.attempts[task.ID])
-		if n >= r.fcfg.MaxAttempts {
-			// Terminal failure path: the run aborts right after.
-			//wfsimlint:allow hotalloc
-			r.failErr = fmt.Errorf("runtime: task %d (%s) exhausted %d attempts under transient failures",
-				task.ID, task.Name, n)
-			r.faults.Stop()
-			return
-		}
-		r.stats.Retries++
-		r.eng.Schedule(r.fcfg.Backoff(n), func() { r.enqueue(s, task) })
-	case attemptLostInput:
-		// The attempt registered itself as a lineage waiter; the
-		// producer's (re-)completion re-enqueues it.
-	}
-}
-
-// runAttempt executes one placed attempt of a task: the Figure 4 pipeline
-// under the fault model. Under injection it checks the node's restart
-// epoch at stage boundaries — the COMPSs master notices worker loss when a
-// dispatched task's result is due, not preemptively — and aborts the
-// attempt on a mismatch, releasing every held resource.
-func (r *simRun) runAttempt(p *sim.Proc, s *session, ref sched.TaskRef, task *dag.Task, nodeID int) attemptOutcome {
-	prof := s.wf.Spec(task).Profile
-	dev := taskDevice(prof, r.cfg.Device)
-	node := r.clu.Node(nodeID)
-	speed := 1.0 // CPU-side compute-rate multiplier for this node
-	if r.cfg.NodeSpeed != nil {
-		speed = r.cfg.NodeSpeed[nodeID]
-	}
-
-	inj := r.faults
-	var buf *attemptRecs
-	var epoch uint64
-	failNow, failFrac := false, 0.0
-	if inj != nil {
-		buf = &attemptRecs{}
-		epoch = inj.Epoch(nodeID)
-		speed *= inj.Speed(nodeID)
-		failNow, failFrac = inj.AttemptFails()
-	}
-
-	r.rec(s, buf, task, nodeID, -1, dev, metrics.StageSched, ref.Enqueued, p.Now())
-
-	// --- Occupy a worker core for the whole task (COMPSs binds the task
-	// to a core; GPU tasks keep their host core while the kernel runs).
-	// A GPU-accelerated task additionally reserves its GPU device for its
-	// entire lifetime (a COMPSs {CPU:1, GPU:1} constraint: GPU worker
-	// deployments expose one executor slot per device). This is why "we
-	// can execute in parallel a maximum of 128 CPU-based tasks and only
-	// 32 GPU-accelerated tasks" (§3.3) — the task-level-parallelism
-	// asymmetry at the heart of the paper's parallel-task results.
-	node.Cores.Acquire(p)
-	slot := r.acquireSlot(nodeID)
-	core := nodeID*r.cfg.Cluster.CoresPerNode + slot
-	if dev == costmodel.GPU {
-		node.GPUs.Acquire(p)
-	}
-	bodyStart := p.Now()
-	if inj != nil && inj.Epoch(nodeID) != epoch {
-		r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-		return attemptCrashed
-	}
-
-	// --- Deserialization: storage reads of every input, then CPU decode.
-	dStart := p.Now()
-	var readBytes float64
-	for _, in := range ref.Inputs {
-		if _, ok := r.store.Read(p, node, in.ID, in.Bytes); !ok {
-			if inj == nil {
-				r.panicUnknownRead(task, in.ID)
-			}
-			if prod := r.producerOf(s, task, in.ID); prod >= 0 {
-				// The block was produced by an upstream task and died
-				// with a local disk: lineage recovery re-executes the
-				// producer; this attempt aborts and waits for it.
-				r.addWaiter(s, prod, task.ID)
-				r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-				return attemptLostInput
-			}
-			// A workflow input is durable at its archival source:
-			// re-stage it onto this node through the network.
-			node.NIC.Transfer(p, in.Bytes)
-			r.clu.Shared.Transfer(p, in.Bytes)
-			r.store.Place(in.ID, nodeID)
-			r.stats.InputRestages++
-		}
-		readBytes += in.Bytes
-	}
-	if readBytes > 0 {
-		p.Wait(readBytes / r.params.DeserRate / speed)
-	}
-	r.rec(s, buf, task, nodeID, core, dev, metrics.StageDeser, dStart, p.Now())
-	if inj != nil && inj.Epoch(nodeID) != epoch {
-		r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-		return attemptCrashed
-	}
-
-	// --- User code.
-	switch dev {
-	case costmodel.GPU:
-		// Host-to-device transfer on the node's contended PCIe bus.
-		gStart := p.Now()
-		if prof.BytesIn > 0 {
-			node.PCIe.Transfer(p, prof.BytesIn)
-		}
-		r.rec(s, buf, task, nodeID, core, dev, metrics.StageCommIn, gStart, p.Now())
-
-		kStart := p.Now()
-		kt := r.params.ParallelTime(prof, costmodel.GPU)
-		if failNow {
-			// The injected failure strikes partway through the kernel.
-			p.Wait(kt * failFrac)
-			r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-			return attemptFailed
-		}
-		p.Wait(kt)
-		r.rec(s, buf, task, nodeID, core, dev, metrics.StageParallel, kStart, p.Now())
-
-		oStart := p.Now()
-		if prof.BytesOut > 0 {
-			node.PCIe.Transfer(p, prof.BytesOut)
-		}
-		r.rec(s, buf, task, nodeID, core, dev, metrics.StageCommOut, oStart, p.Now())
-	case costmodel.CPU:
-		kStart := p.Now()
-		var kt float64
-		if prof.ParallelOps > 0 {
-			kt = r.params.ParallelTime(prof, costmodel.CPU)
-			// A task alone at its DAG level has no task-level
-			// parallelism to protect: its vectorized kernel spreads over
-			// the node's idle cores (NumPy/BLAS threading), which is why
-			// the paper's parallel-task time *drops* at the maximum
-			// block size (§5.3) instead of growing further.
-			if s.levelWidth[task.Level] == 1 {
-				kt /= r.params.SoloThreadSpeedup
-			}
-			kt /= speed
-		}
-		if failNow {
-			p.Wait(kt * failFrac)
-			r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-			return attemptFailed
-		}
-		if kt > 0 {
-			p.Wait(kt)
-		}
-		r.rec(s, buf, task, nodeID, core, dev, metrics.StageParallel, kStart, p.Now())
-	}
-
-	// Serial fraction always runs on the host core (§3.3).
-	sStart := p.Now()
-	if prof.SerialOps > 0 {
-		p.Wait(r.params.SerialTime(prof) / speed)
-	}
-	r.rec(s, buf, task, nodeID, core, dev, metrics.StageSerial, sStart, p.Now())
-	if inj != nil && inj.Epoch(nodeID) != epoch {
-		r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-		return attemptCrashed
-	}
-
-	// --- Serialization: CPU encode, then storage writes of every output.
-	wStart := p.Now()
-	ids := task.DataIDs()
-	var wroteBytes float64
-	for i, prm := range task.Params {
-		if prm.Writes() {
-			wroteBytes += s.wf.SizeByID(ids[i])
-		}
-	}
-	if wroteBytes > 0 {
-		p.Wait(wroteBytes / r.params.SerRate / speed)
-	}
-	for i, prm := range task.Params {
-		if prm.Writes() {
-			id := ids[i]
-			r.store.Write(p, node, s.gid(id), s.wf.SizeByID(id))
-		}
-	}
-	r.rec(s, buf, task, nodeID, core, dev, metrics.StageSer, wStart, p.Now())
-	if inj != nil && inj.Epoch(nodeID) != epoch {
-		// The node died while the attempt was writing; local copies of
-		// its outputs died with it (shared storage keeps them — Drop is
-		// a no-op there).
-		for i, prm := range task.Params {
-			if prm.Writes() {
-				r.store.Drop(s.gid(ids[i]))
-			}
-		}
-		r.abortAttempt(p, s, task, nodeID, slot, dev, bodyStart)
-		return attemptCrashed
-	}
-
-	if dev == costmodel.GPU {
-		node.GPUs.Release()
-	}
-	r.releaseSlot(nodeID, slot)
-	node.Cores.Release()
-	r.load[nodeID]--
-	if buf != nil {
-		for i := 0; i < buf.n; i++ {
-			s.sink.Observe(buf.recs[i])
-		}
-		if s.doneTask[task.ID] {
-			// A lineage re-execution of an already-completed producer.
-			r.stats.RecoveryWork += p.Now() - bodyStart
-		}
-	}
-	return attemptDone
-}
-
-// abortAttempt releases everything a doomed attempt holds and records its
-// wasted span as a single StageRecovery record — the core time the fault
-// burned, visible in traces and Gantt timelines as 'x'.
-func (r *simRun) abortAttempt(p *sim.Proc, s *session, task *dag.Task, nodeID, slot int,
-	dev costmodel.DeviceKind, bodyStart float64) {
-	node := r.clu.Node(nodeID)
-	if dev == costmodel.GPU {
-		node.GPUs.Release()
-	}
-	r.releaseSlot(nodeID, slot)
-	node.Cores.Release()
-	r.load[nodeID]--
-	r.stats.WastedWork += p.Now() - bodyStart
-	s.sink.Observe(metrics.Record{
-		TaskID: task.ID, TaskName: task.Name, Level: task.Level,
-		Node: nodeID, Core: nodeID*r.cfg.Cluster.CoresPerNode + slot, Device: dev.String(),
-		Stage: metrics.StageRecovery, Start: bodyStart, End: p.Now(),
-	})
-}
-
-// panicUnknownRead is the fault-free-path assertion for a missed block
-// read: with no injection, every input must have been placed or written
-// before its consumer dispatched, so a miss is a placement bug.
-func (r *simRun) panicUnknownRead(task *dag.Task, id int32) {
-	panic(fmt.Sprintf("runtime: task %d (%s) read unknown block %d with fault injection off — block placement bug",
-		task.ID, task.Name, id))
-}
-
-// producerOf returns the dependency of task that writes datum id (given
-// as a global ID), or -1 when no dependency produces it (the datum is a
-// workflow input). The scan is the lineage walk: dependencies hold every
-// producer the DAG's last-writer edge inference linked to this task.
-func (r *simRun) producerOf(s *session, task *dag.Task, id int32) int {
-	local := id - s.dataBase
-	for _, dep := range task.Deps() {
-		dt := s.wf.Graph.Task(dep)
-		ids := dt.DataIDs()
-		for i, prm := range dt.Params {
-			if prm.Writes() && ids[i] == local {
-				return dep
-			}
-		}
-	}
-	return -1
-}
-
-// addWaiter parks a task on a producer's re-execution and submits the
-// producer if it is not already queued or running.
-func (r *simRun) addWaiter(s *session, prod, waiter int) {
-	s.waiters[prod] = append(s.waiters[prod], int32(waiter))
-	if !s.inFlight[prod] {
-		r.stats.LineageRecomputes++
-		r.enqueue(s, s.wf.Graph.Task(prod))
-	}
+	r.eng.Start(&r.getRun().act, r.scheduler.Overhead(r.params, qlen, r.cfg.Cluster.Nodes))
 }
 
 // completeTask runs the completion bookkeeping for a successful attempt:
@@ -1105,24 +764,6 @@ func (r *simRun) completeTask(s *session, task *dag.Task) {
 	}
 	if s.done == s.wf.Graph.Len() {
 		r.finishSession(s)
-	}
-}
-
-// onNodeCrash fires engine-side at a crash instant: whatever the node's
-// local disk held is gone. Tasks running on the node notice at their next
-// stage boundary (epoch mismatch) and re-queue themselves.
-func (r *simRun) onNodeCrash(node int) {
-	r.stats.Crashes++
-	r.stats.BlocksLost += r.store.Invalidate(node)
-}
-
-// onNodeRepair fires engine-side when a node rejoins: refs that stalled
-// with the whole cluster down re-enter the ready queue.
-func (r *simRun) onNodeRepair(int) {
-	for r.stalled.Len() > 0 {
-		ref, _ := r.stalled.PopFront()
-		r.queue.Push(ref)
-		r.eng.Schedule(0, r.requestFn)
 	}
 }
 

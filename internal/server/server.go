@@ -265,7 +265,7 @@ func (s *Server) runCellCached(ctx context.Context, cfg experiments.CellConfig) 
 		ID:    "whatif:" + key[:12],
 		Key:   key,
 		Codec: runner.JSONCodec[experiments.Cell](),
-		Run:   func(context.Context) (any, error) { return experiments.RunCell(cfg) },
+		Run:   func(ctx context.Context) (any, error) { return experiments.RunCellOn(ctx, cfg) },
 	}
 	rep, err := s.eng.Run(ctx, []runner.Trial{trial})
 	if err != nil {

@@ -7,25 +7,28 @@ import (
 
 // event is the engine-internal scheduled-callback node. Nodes are pooled:
 // when a pool-owned node fires it is recycled for the next Schedule, so
-// steady-state event traffic allocates nothing. Nodes owned by a Proc or a
-// Link (owned == true) are never returned to the pool — their owner reuses
-// them directly across schedule cycles.
+// steady-state event traffic allocates nothing. Nodes owned by an Activity
+// or a Link (owned == true) are never returned to the pool — their owner
+// reuses them directly across schedule cycles.
 type event struct {
 	at  float64
 	seq uint64 // tie-breaker: FIFO among events at the same instant
 
-	// Exactly one of fn/proc is set: fn is a plain callback; proc marks a
-	// process handoff node that the dispatch loop resumes directly, with no
-	// closure or callback indirection.
-	fn   func()
-	proc *Proc
+	fire Stepper // what runs at dispatch: an Activity's owner, or a callback
 
 	eng      *Engine
 	index    int    // heap index, -1 while off-heap
 	gen      uint64 // bumped each time a pooled node is recycled
-	owned    bool   // Proc-/Link-owned: reused by the owner, never pooled
+	owned    bool   // Activity-/Link-owned: reused by the owner, never pooled
 	canceled bool
 }
+
+// callback adapts a plain Schedule callback to Stepper. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type callback func()
+
+// Step runs the callback.
+func (f callback) Step() { f() }
 
 // Event is a handle to a scheduled callback, returned by Engine.Schedule.
 // It is a small value (copyable) carrying a generation stamp, so a handle
@@ -220,16 +223,16 @@ type ringEntry struct {
 //
 // # Handoff protocol
 //
-// The engine runs processes as coroutines: Run's goroutine executes the
-// event-dispatch loop, running plain callback events inline; when the next
-// event belongs to a process, the loop switches control into that process's
-// coroutine directly (iter.Pull's coroutine transfer — a goroutine switch
-// that bypasses the Go scheduler entirely) and gets control back the moment
-// the process suspends or finishes. A blocking primitive (Wait,
-// Server.Acquire, Link.Transfer) therefore costs a single switch-out/
-// switch-in pair per park/resume — no channel operations, no scheduler
-// wake-ups — and the simulation stays deterministic regardless of
-// GOMAXPROCS because exactly one goroutine is ever runnable.
+// Everything runs on the goroutine that calls Run. The dispatch loop pops
+// the earliest event, advances the clock and calls the event's callback.
+// A simulated activity (see Activity) is just an owned node that runs its
+// owner's Step: a wake-up is a schedule of that node, and resuming the
+// activity is one interface call — no goroutine, no coroutine switch,
+// no channel. Blocking primitives (Activity.Wait, Server.Acquire,
+// Link.Transfer) either complete in place or arrange the activity's
+// wake-up and tell the step to return. The event order is fixed by the
+// (time, seq) keys alone, so the simulation is deterministic regardless of
+// GOMAXPROCS.
 type Engine struct {
 	now float64
 	seq uint64
@@ -239,11 +242,11 @@ type Engine struct {
 
 	// ring is the zero-delay FIFO: events scheduled at exactly the current
 	// instant bypass the heap — ~35% of all events in the workflow runs
-	// (every proc wakeup is a zero-delay schedule), each saving an O(log n)
-	// sift pair. Seq order equals append order because seq assignment is
-	// globally monotonic, so a plain FIFO preserves the (at, seq) pop
-	// contract; pop still compares against the heap root, which wins a
-	// same-instant tie on a smaller seq.
+	// (every activity wake-up is a zero-delay schedule), each saving an
+	// O(log n) sift pair. Seq order equals append order because seq
+	// assignment is globally monotonic, so a plain FIFO preserves the
+	// (at, seq) pop contract; pop still compares against the heap root,
+	// which wins a same-instant tie on a smaller seq.
 	ring     []ringEntry
 	ringHead int
 	ringLive int // non-stale ring entries (for Pending)
@@ -254,18 +257,36 @@ type Engine struct {
 
 	err error // sticky corrupt-simulation error discovered during dispatch
 
-	liveProcs   int // started and not yet finished
-	parkedProcs int // suspended awaiting a resume event
+	// parked counts activities queued on a Server: blocked with no pending
+	// event of their own, woken only by another holder's Release. Any left
+	// when the queue drains are deadlocked.
+	parked int
 
-	// freeProcs holds finished Procs awaiting reuse; Go pops from here
-	// before allocating. allProcs holds every Proc ever created on this
-	// engine, so Run can tear every coroutine down on exit — including
-	// processes left suspended mid-task by a deadlock.
-	freeProcs []*Proc
-	allProcs  []*Proc
+	stats Stats
 
 	ran bool
 }
+
+// Stats counts what an engine did. The counters are plain integers bumped
+// on the dispatch path; they cost no allocation and change no event order,
+// which makes them an equivalence proof for substrate rewrites: two
+// implementations that dispatch the same events report the same Stats.
+type Stats struct {
+	// Dispatched is the number of events popped and run: callbacks and
+	// activity steps alike.
+	Dispatched int
+	// FastWaits counts Waits (including latency-only link transfers) that
+	// advanced the clock in place instead of scheduling a wake-up.
+	FastWaits int
+	// RingHits counts dispatched events taken from the zero-delay ring
+	// rather than the heap.
+	RingHits int
+	// PeakPending is the largest number of pending events at any push.
+	PeakPending int
+}
+
+// Stats returns the engine's counters so far.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // New returns an empty engine with the clock at 0.
 func New() *Engine { return &Engine{} }
@@ -277,9 +298,12 @@ func (e *Engine) pushNode(n *event) {
 		n.index = ringIndex
 		e.ring = append(e.ring, ringEntry{seq: n.seq, n: n})
 		e.ringLive++
-		return
+	} else {
+		e.heap.push(n)
 	}
-	e.heap.push(n)
+	if p := len(e.heap) + e.ringLive; p > e.stats.PeakPending {
+		e.stats.PeakPending = p
+	}
 }
 
 // popNode removes and returns the earliest pending event across the heap
@@ -315,6 +339,7 @@ func (e *Engine) popNode() *event {
 	ent.n = nil
 	e.ringHead++
 	e.ringLive--
+	e.stats.RingHits++
 	n.index = -1
 	return n
 }
@@ -327,6 +352,8 @@ func (e *Engine) Now() float64 { return e.now }
 // silently clamped.
 func (e *Engine) checkDelay(delay float64) {
 	if delay < 0 || math.IsNaN(delay) {
+		// Fatal invariant violation: formats once, then the run dies.
+		//wfsimlint:allow hotalloc
 		panic(fmt.Sprintf("sim: Schedule with invalid delay %v at t=%v", delay, e.now))
 	}
 }
@@ -358,18 +385,20 @@ func (e *Engine) getNode() *event {
 // invalidates every outstanding handle to the node's previous use.
 func (e *Engine) putNode(n *event) {
 	n.gen++
-	n.fn = nil
+	n.fire = nil
 	n.canceled = false
 	e.free = append(e.free, n)
 }
 
 // schedNode pushes an off-heap node with a fresh sequence number. It is the
-// single entry point for owned nodes (Proc resume events, Link completion
-// events), so its seq assignment order — not node identity — is what fixes
+// single entry point for owned nodes (Activity wake-ups, Link completion
+// and join events), so its seq assignment order — not node identity — is what fixes
 // the deterministic event order.
 func (e *Engine) schedNode(n *event, delay float64) {
 	e.checkDelay(delay)
 	if n.index != -1 {
+		// Fatal invariant violation: formats once, then the run dies.
+		//wfsimlint:allow hotalloc
 		panic(fmt.Sprintf("sim: event already scheduled at t=%v", n.at))
 	}
 	n.at = e.now + delay
@@ -413,7 +442,7 @@ func (e *Engine) fixNode(n *event, delay float64) {
 // delay panics.
 func (e *Engine) Schedule(delay float64, fn func()) Event {
 	n := e.getNode()
-	n.fn = fn
+	n.fire = callback(fn)
 	e.schedNode(n, delay)
 	return Event{n: n, gen: n.gen}
 }
@@ -428,15 +457,17 @@ func (e *Engine) Schedule(delay float64, fn func()) Event {
 func (e *Engine) Reschedule(ev Event, delay float64) {
 	n := ev.n
 	if n == nil || n.gen != ev.gen || n.index == -1 {
+		// Fatal invariant violation: formats once, then the run dies.
+		//wfsimlint:allow hotalloc
 		panic(fmt.Sprintf("sim: Reschedule of completed event at t=%v", e.now))
 	}
 	e.fixNode(n, delay)
 }
 
-// dispatch is the event loop: it pops events, advances the clock, runs
-// callback events inline and switches control into process coroutines for
-// handoff events. It returns when the queue is exhausted or the simulation
-// is corrupt (see e.err).
+// dispatch is the event loop: it pops events, advances the clock and runs
+// each event's callback inline — a plain callback or an activity's step.
+// It returns when the queue is exhausted or the simulation is corrupt (see
+// e.err).
 func (e *Engine) dispatch() {
 	for {
 		n := e.popNode()
@@ -449,63 +480,35 @@ func (e *Engine) dispatch() {
 			return
 		}
 		e.now = n.at
-		if n.proc != nil {
-			// Control transfers into the process and comes back the moment
-			// it suspends (Wait, park) or finishes.
-			n.proc.resume()
-			continue
-		}
-		fn := n.fn
+		e.stats.Dispatched++
+		fire := n.fire
 		if !n.owned {
 			e.putNode(n)
 		}
-		fn()
+		fire.Step()
 	}
 }
 
 // Run executes events until the queue drains. It returns an error if the
-// queue drains while processes are still parked (a deadlock: some process
-// waits for a resource that will never be released). Run may only be called
-// once per engine.
+// queue drains while activities are still queued on a Server (a deadlock:
+// some activity waits for a slot that will never be released). Run may
+// only be called once per engine.
 func (e *Engine) Run() error {
 	if e.ran {
 		return fmt.Errorf("sim: Run called twice") //wfsimlint:allow hotalloc
 	}
 	e.ran = true
 	e.dispatch()
-	deadlocked := e.parkedProcs
-	e.stopProcs()
 	if e.err != nil {
 		return e.err
 	}
-	if deadlocked > 0 {
+	if e.parked > 0 {
 		// Terminal diagnosis after the queue drained: never steady-state.
 		//wfsimlint:allow hotalloc
-		return fmt.Errorf("sim: deadlock: %d process(es) parked with no pending events at t=%v",
-			deadlocked, e.now)
+		return fmt.Errorf("sim: deadlock: %d activities queued with no pending events at t=%v",
+			e.parked, e.now)
 	}
 	return nil
-}
-
-// stopProcs releases every process coroutine created on or adopted by this
-// engine when the simulation ends: idle ones are donated to the global
-// coroutine pool for the next engine (overflow beyond the pool cap is
-// stopped), while ones left suspended mid-task by a deadlock are stopped,
-// unwinding via procStopped. Beyond the bounded pool, an engine leaks no
-// goroutines.
-func (e *Engine) stopProcs() {
-	for i, p := range e.allProcs {
-		if !p.pooled {
-			p.stop()
-		}
-		e.allProcs[i] = nil
-	}
-	e.allProcs = e.allProcs[:0]
-	donateProcs(e.freeProcs)
-	for i := range e.freeProcs {
-		e.freeProcs[i] = nil
-	}
-	e.freeProcs = e.freeProcs[:0]
 }
 
 // Pending returns the number of live scheduled events. Cancelled events

@@ -90,7 +90,7 @@ func TestRunTwice(t *testing.T) {
 func TestProcWait(t *testing.T) {
 	e := New()
 	var stamps []float64
-	e.Go("p", func(p *Proc) {
+	spawn(t, e, func(p *seqProc) {
 		stamps = append(stamps, p.Now())
 		p.Wait(1.5)
 		stamps = append(stamps, p.Now())
@@ -113,12 +113,12 @@ func TestProcWait(t *testing.T) {
 func TestProcInterleaving(t *testing.T) {
 	e := New()
 	var order []string
-	e.Go("a", func(p *Proc) {
+	spawn(t, e, func(p *seqProc) {
 		order = append(order, "a0")
 		p.Wait(2)
 		order = append(order, "a2")
 	})
-	e.Go("b", func(p *Proc) {
+	spawn(t, e, func(p *seqProc) {
 		order = append(order, "b0")
 		p.Wait(1)
 		order = append(order, "b1")
@@ -142,9 +142,9 @@ func TestProcInterleaving(t *testing.T) {
 func TestNestedGo(t *testing.T) {
 	e := New()
 	done := 0
-	e.Go("outer", func(p *Proc) {
+	spawn(t, e, func(p *seqProc) {
 		p.Wait(1)
-		p.Engine().Go("inner", func(q *Proc) {
+		spawn(t, e, func(q *seqProc) {
 			q.Wait(1)
 			if q.Now() != 2 {
 				t.Errorf("inner Now = %v, want 2", q.Now())
@@ -169,9 +169,9 @@ func TestDeterminism(t *testing.T) {
 		srv := NewServer(e, "cpu", 2)
 		link := NewLink(e, "net", 100, 0.001)
 		for i := 0; i < 8; i++ {
-			e.Go("w", func(p *Proc) {
-				srv.Acquire(p)
-				link.Transfer(p, 250)
+			spawn(t, e, func(p *seqProc) {
+				p.Acquire(srv)
+				p.Transfer(link, 250)
 				p.Wait(0.5)
 				srv.Release()
 				stamps = append(stamps, p.Now())

@@ -50,7 +50,7 @@ type Link struct {
 type flow struct {
 	remaining float64
 	total     float64
-	proc      *Proc
+	act       *Activity // woken when the flow drains
 	link      *Link
 	join      event // owned node: fires when the startup latency elapses
 }
@@ -74,7 +74,7 @@ func NewLink(e *Engine, name string, bandwidth, latency float64) *Link {
 	l.next.eng = e
 	l.next.index = -1
 	l.next.owned = true
-	l.next.fn = l.complete
+	l.next.fire = callback(l.complete)
 	return l
 }
 
@@ -141,24 +141,24 @@ func (l *Link) advance() {
 // getFlow/putFlow recycle flow structs across transfers. A flow's join
 // node and its callback are bound once at creation and reused for the
 // struct's whole pooled lifetime.
-func (l *Link) getFlow(bytes float64, p *Proc) *flow {
+func (l *Link) getFlow(bytes float64, a *Activity) *flow {
 	if k := len(l.freeFlows); k > 0 {
 		f := l.freeFlows[k-1]
 		l.freeFlows[k-1] = nil
 		l.freeFlows = l.freeFlows[:k-1]
-		f.remaining, f.total, f.proc = bytes, bytes, p
+		f.remaining, f.total, f.act = bytes, bytes, a
 		return f
 	}
-	f := &flow{remaining: bytes, total: bytes, proc: p, link: l}
+	f := &flow{remaining: bytes, total: bytes, act: a, link: l}
 	f.join.eng = l.eng
 	f.join.index = -1
 	f.join.owned = true
-	f.join.fn = f.joinLatent
+	f.join.fire = callback(f.joinLatent)
 	return f
 }
 
 func (l *Link) putFlow(f *flow) {
-	f.proc = nil
+	f.act = nil
 	l.freeFlows = append(l.freeFlows, f)
 }
 
@@ -181,7 +181,7 @@ func (l *Link) retarget(f *flow) {
 }
 
 // complete fires when the target flow has drained; it removes the target
-// plus any other flow within float64 drift of empty, wakes their processes
+// plus any other flow within float64 drift of empty, wakes their activities
 // in insertion order, and retargets the earliest remaining flow — found
 // during the same removal sweep, not by a second scan.
 func (l *Link) complete() {
@@ -196,7 +196,7 @@ func (l *Link) complete() {
 		if f.remaining <= completionEpsilon+1e-12*f.total {
 			l.transfers++
 			l.bytesMoved += f.total
-			f.proc.unpark()
+			f.act.unpark()
 			l.putFlow(f)
 			l.vacate()
 		} else {
@@ -231,45 +231,55 @@ func (l *Link) joinNow(f *flow) {
 }
 
 // joinLatent fires when a flow's startup latency elapses: the latency
-// occupancy converts into flow occupancy and the flow joins the pipe. It
-// runs inline on the dispatch goroutine, so the latency leg costs no
-// process handoff.
+// occupancy converts into flow occupancy and the flow joins the pipe. A
+// latency-only (zero-byte) flow is finished instead, and its activity's
+// step runs inline — this event is the activity's wake-up.
 func (f *flow) joinLatent() {
-	f.link.vacate()
-	f.link.joinNow(f)
+	l := f.link
+	l.vacate()
+	if f.total > 0 {
+		l.joinNow(f)
+		return
+	}
+	l.transfers++
+	a := f.act
+	l.putFlow(f)
+	a.ev.fire.Step()
 }
 
-// Transfer moves bytes over the link on behalf of process p, blocking in
-// virtual time until the transfer completes. Concurrent transfers share the
-// bandwidth equally. A zero-byte transfer pays only the latency.
+// Transfer moves bytes over the link on behalf of activity a. Concurrent
+// transfers share the bandwidth equally. A zero-byte transfer pays only the
+// latency. Transfer reports true when the transfer finished without
+// blocking (zero bytes with no latency, or a latency-only transfer that
+// took the Wait fast path); otherwise it reports false and the link wakes
+// a at the instant its bytes have drained.
 //
-// On a link with startup latency the flow's join is a scheduled inline
-// event rather than a process wake-up, so the calling process parks exactly
-// once per transfer — halving the goroutine handoffs on the hottest
-// substrate path. The join event receives the same schedule position the
-// process's own latency wake-up would have had, so event ordering (and with
-// it the simulation's determinism) is unchanged.
-func (l *Link) Transfer(p *Proc, bytes float64) {
+// On a link with startup latency the flow's join is a scheduled link event
+// rather than an activity wake-up, so a transfer wakes its activity exactly
+// once. The join event takes the schedule position the activity's own
+// latency Wait would have had, and a latency-only transfer resumes the
+// activity from that event directly, so event ordering is the same as a
+// sequential wait-then-join.
+func (l *Link) Transfer(a *Activity, bytes float64) bool {
 	if bytes < 0 || math.IsNaN(bytes) {
+		// Fatal invariant violation: formats once, then the run dies.
+		//wfsimlint:allow hotalloc
 		panic(fmt.Sprintf("sim: transfer of %v bytes on link %q", bytes, l.name))
 	}
 	if l.latency > 0 {
 		l.occupy()
-		if bytes == 0 {
-			p.Wait(l.latency)
+		if bytes == 0 && l.eng.fastWait(l.latency) {
 			l.vacate()
 			l.transfers++
-			return
+			return true
 		}
-		f := l.getFlow(bytes, p)
-		l.eng.schedNode(&f.join, l.latency)
-		p.park()
-		return
+		l.eng.schedNode(&l.getFlow(bytes, a).join, l.latency)
+		return false
 	}
 	if bytes == 0 {
 		l.transfers++
-		return
+		return true
 	}
-	l.joinNow(l.getFlow(bytes, p))
-	p.park()
+	l.joinNow(l.getFlow(bytes, a))
+	return false
 }

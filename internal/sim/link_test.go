@@ -13,8 +13,8 @@ func TestLinkSingleTransfer(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0) // 100 B/s
 	var done float64
-	e.Go("t", func(p *Proc) {
-		l.Transfer(p, 500)
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 500)
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -35,8 +35,8 @@ func TestLinkLatency(t *testing.T) {
 	e := New()
 	l := NewLink(e, "gpfs", 100, 0.25)
 	var done float64
-	e.Go("t", func(p *Proc) {
-		l.Transfer(p, 100)
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 100)
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -51,8 +51,8 @@ func TestLinkZeroBytes(t *testing.T) {
 	e := New()
 	l := NewLink(e, "net", 100, 0.5)
 	var done float64
-	e.Go("t", func(p *Proc) {
-		l.Transfer(p, 0)
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 0)
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -72,12 +72,12 @@ func TestLinkFairShare(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0)
 	var t1, t2 float64
-	e.Go("a", func(p *Proc) {
-		l.Transfer(p, 100)
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 100)
 		t1 = p.Now()
 	})
-	e.Go("b", func(p *Proc) {
-		l.Transfer(p, 100)
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 100)
 		t2 = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -95,12 +95,12 @@ func TestLinkUnevenShare(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0)
 	var small, big float64
-	e.Go("small", func(p *Proc) {
-		l.Transfer(p, 100)
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 100)
 		small = p.Now()
 	})
-	e.Go("big", func(p *Proc) {
-		l.Transfer(p, 300)
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 300)
 		big = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -121,13 +121,13 @@ func TestLinkLateJoiner(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0)
 	var first, joiner float64
-	e.Go("first", func(p *Proc) {
-		l.Transfer(p, 200)
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 200)
 		first = p.Now()
 	})
-	e.Go("joiner", func(p *Proc) {
+	spawn(t, e, func(p *seqProc) {
 		p.Wait(1)
-		l.Transfer(p, 50)
+		p.Transfer(l, 50)
 		joiner = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -144,10 +144,10 @@ func TestLinkLateJoiner(t *testing.T) {
 func TestLinkBusyTime(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0)
-	e.Go("a", func(p *Proc) {
-		l.Transfer(p, 100) // busy [0,1]
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 100) // busy [0,1]
 		p.Wait(1)          // idle [1,2]
-		l.Transfer(p, 200) // busy [2,4]
+		p.Transfer(l, 200) // busy [2,4]
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -193,10 +193,10 @@ func TestLinkConservation(t *testing.T) {
 			if start > lastArrival {
 				lastArrival = start
 			}
-			e.Go("t", func(p *Proc) {
+			spawn(t, e, func(p *seqProc) {
 				p.Wait(start)
 				t0 := p.Now()
-				l.Transfer(p, bytes)
+				p.Transfer(l, bytes)
 				if p.Now()-t0 < bytes/bw-1e-6 {
 					ok = false // faster than line rate: impossible
 				}

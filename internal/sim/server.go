@@ -4,8 +4,8 @@ import "fmt"
 
 // Server is a capacity-constrained resource with a FIFO wait queue. It
 // models CPU cores, GPU devices and the scheduler master thread: at most
-// Capacity processes hold the server at once; further Acquire calls queue in
-// arrival order.
+// Capacity activities hold the server at once; further Acquire calls queue
+// in arrival order.
 //
 // The wait queue is a head-index ring buffer, so dequeueing a waiter on
 // Release is O(1) instead of sliding the whole slice.
@@ -20,7 +20,7 @@ type Server struct {
 	inUse int
 
 	// FIFO waiters: ring buffer of qlen entries starting at queue[qhead].
-	queue []*Proc
+	queue []*Activity
 	qhead int
 	qlen  int
 
@@ -44,10 +44,10 @@ func (s *Server) Name() string { return s.name }
 // Capacity returns the number of concurrent holders the server admits.
 func (s *Server) Capacity() int { return s.cap }
 
-// InUse returns the number of processes currently holding the server.
+// InUse returns the number of activities currently holding the server.
 func (s *Server) InUse() int { return s.inUse }
 
-// QueueLen returns the number of processes waiting to acquire the server.
+// QueueLen returns the number of activities waiting to acquire the server.
 func (s *Server) QueueLen() int { return s.qlen }
 
 // Acquired returns the total number of successful acquisitions so far.
@@ -55,26 +55,26 @@ func (s *Server) Acquired() uint64 { return s.acquired }
 
 // qpush appends a waiter to the ring, growing (and linearizing) it when
 // full.
-func (s *Server) qpush(p *Proc) {
+func (s *Server) qpush(a *Activity) {
 	if s.qlen == len(s.queue) {
-		grown := make([]*Proc, max(2*len(s.queue), 8))
+		grown := make([]*Activity, max(2*len(s.queue), 8))
 		for i := 0; i < s.qlen; i++ {
 			grown[i] = s.queue[(s.qhead+i)%len(s.queue)]
 		}
 		s.queue = grown
 		s.qhead = 0
 	}
-	s.queue[(s.qhead+s.qlen)%len(s.queue)] = p
+	s.queue[(s.qhead+s.qlen)%len(s.queue)] = a
 	s.qlen++
 }
 
 // qpop removes and returns the head waiter.
-func (s *Server) qpop() *Proc {
-	p := s.queue[s.qhead]
+func (s *Server) qpop() *Activity {
+	a := s.queue[s.qhead]
 	s.queue[s.qhead] = nil
 	s.qhead = (s.qhead + 1) % len(s.queue)
 	s.qlen--
-	return p
+	return a
 }
 
 func (s *Server) accumulate() {
@@ -83,22 +83,21 @@ func (s *Server) accumulate() {
 	s.lastChange = now
 }
 
-// Acquire blocks the process until a slot is free, then takes it. Slots are
-// granted strictly in arrival order.
-func (s *Server) Acquire(p *Proc) {
-	if s.inUse < s.cap && s.qlen == 0 {
-		s.accumulate()
-		s.inUse++
-		s.acquired++
-		return
+// Acquire takes a slot for a and reports true when one is free and nobody
+// is queued ahead. Otherwise a joins the FIFO queue and Acquire reports
+// false: the step must return, and resumes holding the slot — the releaser
+// takes it on a's behalf (see Release). Slots are granted strictly in
+// arrival order.
+func (s *Server) Acquire(a *Activity) bool {
+	if s.TryAcquire() {
+		return true
 	}
-	s.qpush(p)
-	p.park()
-	// The releaser already took the slot on our behalf (see Release), so
-	// nothing to do here: we own a slot when we wake.
+	s.qpush(a)
+	s.eng.parked++
+	return false
 }
 
-// TryAcquire takes a slot if one is immediately free and no process is
+// TryAcquire takes a slot if one is immediately free and no activity is
 // queued ahead; it reports whether the acquisition succeeded.
 func (s *Server) TryAcquire() bool {
 	if s.inUse < s.cap && s.qlen == 0 {
@@ -110,11 +109,13 @@ func (s *Server) TryAcquire() bool {
 	return false
 }
 
-// Release frees one slot. If processes are queued, the slot is handed
+// Release frees one slot. If activities are queued, the slot is handed
 // directly to the head of the queue (so capacity can never be stolen by a
-// later arrival) and that process is woken at the current instant.
+// later arrival) and that activity is woken at the current instant.
 func (s *Server) Release() {
 	if s.inUse <= 0 {
+		// Fatal invariant violation: formats once, then the run dies.
+		//wfsimlint:allow hotalloc
 		panic(fmt.Sprintf("sim: Release of idle server %q", s.name))
 	}
 	s.accumulate()
@@ -123,6 +124,7 @@ func (s *Server) Release() {
 		next := s.qpop()
 		s.inUse++ // hand the slot to next before anyone else can take it
 		s.acquired++
+		s.eng.parked--
 		next.unpark()
 	}
 }
@@ -136,9 +138,9 @@ func (s *Server) BusyTime() float64 {
 // ServiceLine is a capacity-1 FIFO dispatch gate: anonymous requests line
 // up for the station, and each grant runs the line's onGrant callback
 // engine-side at the grant instant. Unlike Server, a request carries no
-// process — the holder's work is whatever onGrant schedules (typically a
-// process started with GoAfter once the decision's service time elapses) —
-// so queueing for the station costs no goroutine handoffs at all. End
+// activity — the holder's work is whatever onGrant schedules (typically an
+// activity started with Engine.Start once the decision's service time
+// elapses) — so a queued request is a counter, not a parked activity. End
 // passes the station to the next request via a grant event at the current
 // instant: the exact schedule position a Server's wake-up of that waiter
 // would occupy, so event ordering matches the Acquire/Release protocol it
@@ -201,6 +203,8 @@ func (s *ServiceLine) grant() {
 // the oldest one via a grant event at the current instant.
 func (s *ServiceLine) End() {
 	if !s.busy {
+		// Fatal invariant violation: formats once, then the run dies.
+		//wfsimlint:allow hotalloc
 		panic(fmt.Sprintf("sim: End of idle service line %q", s.name))
 	}
 	if s.waiters > 0 {

@@ -12,8 +12,8 @@ func TestServerFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 4; i++ {
 		i := i
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
+		spawn(t, e, func(p *seqProc) {
+			p.Acquire(s)
 			order = append(order, i)
 			p.Wait(1)
 			s.Release()
@@ -37,8 +37,8 @@ func TestServerCapacity(t *testing.T) {
 	s := NewServer(e, "cpu", 3)
 	maxInUse := 0
 	for i := 0; i < 10; i++ {
-		e.Go("w", func(p *Proc) {
-			s.Acquire(p)
+		spawn(t, e, func(p *seqProc) {
+			p.Acquire(s)
 			if s.InUse() > maxInUse {
 				maxInUse = s.InUse()
 			}
@@ -65,7 +65,7 @@ func TestServerTryAcquire(t *testing.T) {
 	e := New()
 	s := NewServer(e, "gpu", 1)
 	got := []bool{}
-	e.Go("a", func(p *Proc) {
+	spawn(t, e, func(p *seqProc) {
 		got = append(got, s.TryAcquire()) // true
 		got = append(got, s.TryAcquire()) // false: full
 		p.Wait(1)
@@ -90,19 +90,19 @@ func TestServerHandoffNoSteal(t *testing.T) {
 	e := New()
 	s := NewServer(e, "cpu", 1)
 	var winner string
-	e.Go("holder", func(p *Proc) {
-		s.Acquire(p)
+	spawn(t, e, func(p *seqProc) {
+		p.Acquire(s)
 		p.Wait(1)
 		s.Release()
 	})
-	e.Go("waiter", func(p *Proc) {
-		s.Acquire(p)
+	spawn(t, e, func(p *seqProc) {
+		p.Acquire(s)
 		if winner == "" {
 			winner = "waiter"
 		}
 		s.Release()
 	})
-	e.Go("thief", func(p *Proc) {
+	spawn(t, e, func(p *seqProc) {
 		p.Wait(1) // arrives exactly when holder releases
 		if s.TryAcquire() {
 			if winner == "" {
@@ -122,12 +122,12 @@ func TestServerHandoffNoSteal(t *testing.T) {
 func TestServerUtilization(t *testing.T) {
 	e := New()
 	s := NewServer(e, "cpu", 2)
-	e.Go("a", func(p *Proc) {
-		s.Acquire(p)
+	spawn(t, e, func(p *seqProc) {
+		p.Acquire(s)
 		p.Wait(2)
 		s.Release()
 	})
-	e.Go("idle", func(p *Proc) { p.Wait(4) })
+	spawn(t, e, func(p *seqProc) { p.Wait(4) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +143,12 @@ func TestServerUtilization(t *testing.T) {
 func TestServerDeadlockDetected(t *testing.T) {
 	e := New()
 	s := NewServer(e, "cpu", 1)
-	e.Go("a", func(p *Proc) {
-		s.Acquire(p)
+	spawn(t, e, func(p *seqProc) {
+		p.Acquire(s)
 		// never released
 	})
-	e.Go("b", func(p *Proc) {
-		s.Acquire(p) // parks forever
+	spawn(t, e, func(p *seqProc) {
+		p.Acquire(s) // parks forever
 		t.Error("b acquired a never-released server")
 	})
 	if err := e.Run(); err == nil {
@@ -180,9 +180,9 @@ func TestServerCapacityInvariant(t *testing.T) {
 		for i := 0; i < n; i++ {
 			hold := rng.Float64() * 2
 			start := rng.Float64() * 2
-			e.Go("w", func(p *Proc) {
+			spawn(t, e, func(p *seqProc) {
 				p.Wait(start)
-				s.Acquire(p)
+				p.Acquire(s)
 				if s.InUse() > capacity {
 					ok = false
 				}

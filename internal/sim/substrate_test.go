@@ -169,40 +169,6 @@ func TestStaleHandleAfterRecycle(t *testing.T) {
 	}
 }
 
-// TestProcPoolReuse drives enough sequential process churn that Go must
-// reuse pooled goroutines, and checks the simulation stays correct and the
-// pool is torn down at Run exit.
-func TestProcPoolReuse(t *testing.T) {
-	e := New()
-	ran := 0
-	// Chain of short-lived processes: each finishes before spawning the
-	// next, so every generation after the first reuses the pooled Proc.
-	var spawn func()
-	spawn = func() {
-		e.Go("gen", func(p *Proc) {
-			p.Wait(0.1)
-			ran++
-			if ran < 50 {
-				e.Schedule(0.1, spawn)
-			}
-		})
-	}
-	spawn()
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 50 {
-		t.Fatalf("ran = %d, want 50", ran)
-	}
-	if len(e.freeProcs) != 0 {
-		t.Fatalf("freeProcs = %d after Run, want 0 (pool torn down)", len(e.freeProcs))
-	}
-	if e.liveProcs != 0 || e.parkedProcs != 0 {
-		t.Fatalf("liveProcs = %d, parkedProcs = %d after Run, want 0, 0",
-			e.liveProcs, e.parkedProcs)
-	}
-}
-
 // TestServerQueueWraparound forces the FIFO ring's head index to wrap by
 // cycling far more waiters through the queue than its initial capacity, and
 // checks strict arrival-order grants throughout.
@@ -213,9 +179,9 @@ func TestServerQueueWraparound(t *testing.T) {
 	var grants []int
 	for i := 0; i < n; i++ {
 		i := i
-		e.Go("w", func(p *Proc) {
+		spawn(t, e, func(p *seqProc) {
 			p.Wait(float64(i) * 1e-3) // staggered arrivals: deterministic queue order
-			srv.Acquire(p)
+			p.Acquire(srv)
 			grants = append(grants, i)
 			p.Wait(1) // hold long enough that everyone queues
 			srv.Release()
@@ -246,8 +212,8 @@ func TestServerQueueWraparound(t *testing.T) {
 func TestLinkLatencyOnlyBusyTime(t *testing.T) {
 	e := New()
 	l := NewLink(e, "gpfs", 100, 0.5)
-	e.Go("t", func(p *Proc) {
-		l.Transfer(p, 0) // latency-only: busy [0, 0.5]
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 0) // latency-only: busy [0, 0.5]
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -266,8 +232,8 @@ func TestLinkOverlappingLatencyBusyTime(t *testing.T) {
 	e := New()
 	l := NewLink(e, "gpfs", 100, 0.5)
 	for i := 0; i < 3; i++ {
-		e.Go("t", func(p *Proc) {
-			l.Transfer(p, 0)
+		spawn(t, e, func(p *seqProc) {
+			p.Transfer(l, 0)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -283,10 +249,10 @@ func TestLinkOverlappingLatencyBusyTime(t *testing.T) {
 func TestLinkLatencyThenFlowBusyTime(t *testing.T) {
 	e := New()
 	l := NewLink(e, "disk", 100, 0.25)
-	e.Go("t", func(p *Proc) {
-		l.Transfer(p, 100) // latency [0,0.25] + flow [0.25,1.25]
+	spawn(t, e, func(p *seqProc) {
+		p.Transfer(l, 100) // latency [0,0.25] + flow [0.25,1.25]
 		p.Wait(1)          // idle [1.25,2.25]
-		l.Transfer(p, 0)   // latency [2.25,2.5]
+		p.Transfer(l, 0)   // latency [2.25,2.5]
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -306,10 +272,10 @@ func TestPoolChurnDeterminism(t *testing.T) {
 		srv := NewServer(e, "cpu", 3)
 		link := NewLink(e, "net", 1000, 0.001)
 		for w := 0; w < 4; w++ {
-			e.Go("w", func(p *Proc) {
+			spawn(t, e, func(p *seqProc) {
 				for i := 0; i < 10; i++ {
-					srv.Acquire(p)
-					link.Transfer(p, 100*float64(i+1))
+					p.Acquire(srv)
+					p.Transfer(link, 100*float64(i+1))
 					p.Wait(0.01)
 					srv.Release()
 					stamps = append(stamps, p.Now())

@@ -9,6 +9,10 @@
 // lookup the scheduler and the task lifecycle perform is a bounds check
 // and a load, not a string hash.
 //
+// An access is described, not performed: Read and Write return the
+// ordered links (legs) the block's bytes traverse, and the caller's
+// activity moves the bytes over each leg in turn on the simulated clock.
+//
 // With local disks, a block read from the node that holds it costs only
 // that node's disk; a remote read streams disk → network (owner's NIC and
 // reader's NIC both traversed). With the shared architecture, every access
@@ -53,16 +57,17 @@ type System interface {
 	// false when the block has no node affinity (shared storage or
 	// unknown block). The data-locality scheduler uses this.
 	Location(id int32) (int, bool)
-	// Read streams the block's bytes to the reader node, blocking p in
-	// virtual time, and returns the I/O duration. A block the system has
-	// no record of is an explicit miss: Read returns (0, false) without
-	// simulating any I/O. In a fault-free run a miss is a placement bug
-	// (the runtime asserts on it); under fault injection it means the
-	// block died with a node's local disk and must be recovered.
-	Read(p *sim.Proc, reader *cluster.Node, id int32, bytes float64) (float64, bool)
-	// Write streams bytes from the writer node to storage, records the
-	// new block location, and returns the I/O duration.
-	Write(p *sim.Proc, writer *cluster.Node, id int32, bytes float64) float64
+	// Read returns the legs that stream the block to the reader node. A
+	// block the system has no record of is an explicit miss: Read returns
+	// (Legs{}, false). In a fault-free run a miss is a placement bug (the
+	// runtime asserts on it); under fault injection it means the block
+	// died with a node's local disk and must be recovered.
+	Read(reader *cluster.Node, id int32) (Legs, bool)
+	// Write returns the legs that stream a block from the writer node to
+	// storage. A write is committed with Place(id, writer.ID) once its
+	// last leg completes: until then the block's new location is not
+	// visible, exactly as when the write was one blocking call.
+	Write(writer *cluster.Node) Legs
 	// Invalidate discards every block whose only copy lives on the given
 	// node (a crash takes the node's local disk with it) and returns the
 	// number of blocks lost. Shared storage survives node loss untouched
@@ -72,6 +77,26 @@ type System interface {
 	// node). A no-op for shared storage, where writes are durable.
 	Drop(id int32)
 }
+
+// Legs is the ordered path of links one block access traverses; the
+// access moves its bytes over each leg in turn. At most three links.
+type Legs struct {
+	links [3]*sim.Link
+	n     int
+}
+
+// NewLegs returns the path over links, in order. At most three.
+func NewLegs(links ...*sim.Link) Legs {
+	var l Legs
+	l.n = copy(l.links[:], links)
+	return l
+}
+
+// Len returns the number of legs.
+func (l Legs) Len() int { return l.n }
+
+// Leg returns the i-th link on the path.
+func (l Legs) Leg(i int) *sim.Link { return l.links[i] }
 
 // LocalDisks is the node-local architecture.
 type LocalDisks struct {
@@ -118,21 +143,16 @@ func (l *LocalDisks) Location(id int32) (int, bool) {
 // An unplaced block is a miss, not a free local hit — silently treating it
 // as local scratch masked placement bugs and made lost blocks
 // unobservable.
-func (l *LocalDisks) Read(p *sim.Proc, reader *cluster.Node, id int32, bytes float64) (float64, bool) {
+func (l *LocalDisks) Read(reader *cluster.Node, id int32) (Legs, bool) {
 	owner, ok := l.Location(id)
 	if !ok {
-		return 0, false
+		return Legs{}, false
 	}
-	start := p.Now()
 	if owner == reader.ID {
-		reader.Disk.Transfer(p, bytes)
-	} else {
-		ownerNode := l.c.Node(owner)
-		ownerNode.Disk.Transfer(p, bytes)
-		ownerNode.NIC.Transfer(p, bytes)
-		reader.NIC.Transfer(p, bytes)
+		return NewLegs(reader.Disk), true
 	}
-	return p.Now() - start, true
+	ownerNode := l.c.Node(owner)
+	return NewLegs(ownerNode.Disk, ownerNode.NIC, reader.NIC), true
 }
 
 // Invalidate implements System: a crashed node's disk contents are gone.
@@ -156,13 +176,7 @@ func (l *LocalDisks) Drop(id int32) {
 
 // Write implements System. Output blocks land on the writer's local disk,
 // which is what makes locality scheduling matter downstream.
-func (l *LocalDisks) Write(p *sim.Proc, writer *cluster.Node, id int32, bytes float64) float64 {
-	start := p.Now()
-	writer.Disk.Transfer(p, bytes)
-	l.grow(id)
-	l.loc[id] = int32(writer.ID)
-	return p.Now() - start
-}
+func (l *LocalDisks) Write(writer *cluster.Node) Legs { return NewLegs(writer.Disk) }
 
 // SharedDisk is the GPFS-style decoupled architecture.
 type SharedDisk struct {
@@ -199,14 +213,11 @@ func (s *SharedDisk) Location(id int32) (int, bool) { return -1, false }
 
 // Read implements System: reader NIC + shared backend, both contended.
 // A block never written to the backend is a miss.
-func (s *SharedDisk) Read(p *sim.Proc, reader *cluster.Node, id int32, bytes float64) (float64, bool) {
+func (s *SharedDisk) Read(reader *cluster.Node, id int32) (Legs, bool) {
 	if int(id) >= len(s.known) || !s.known[id] {
-		return 0, false
+		return Legs{}, false
 	}
-	start := p.Now()
-	reader.NIC.Transfer(p, bytes)
-	s.c.Shared.Transfer(p, bytes)
-	return p.Now() - start, true
+	return NewLegs(reader.NIC, s.c.Shared), true
 }
 
 // Invalidate implements System: the decoupled backend survives node loss.
@@ -215,15 +226,8 @@ func (s *SharedDisk) Invalidate(node int) int { return 0 }
 // Drop implements System: shared writes are durable once issued.
 func (s *SharedDisk) Drop(id int32) {}
 
-// Write implements System.
-func (s *SharedDisk) Write(p *sim.Proc, writer *cluster.Node, id int32, bytes float64) float64 {
-	start := p.Now()
-	writer.NIC.Transfer(p, bytes)
-	s.c.Shared.Transfer(p, bytes)
-	s.grow(id)
-	s.known[id] = true
-	return p.Now() - start
-}
+// Write implements System: writer NIC + shared backend.
+func (s *SharedDisk) Write(writer *cluster.Node) Legs { return NewLegs(writer.NIC, s.c.Shared) }
 
 // New constructs the architecture selected by arch, pre-sized for numData
 // distinct datum IDs.
