@@ -205,6 +205,10 @@ func cmdRun(args []string) error {
 	// One engine across all requested experiments: identical factor
 	// combinations appearing in several figures simulate once.
 	eng := runner.New(workers)
+	defer func() {
+		st := eng.Stats()
+		fmt.Fprintf(os.Stderr, "workflows: %d built, %d reused\n", st.WorkflowBuilds, st.WorkflowReuses)
+	}()
 	if cacheDir != "" {
 		store, err := resultcache.Open(cacheDir, 0)
 		if err != nil {

@@ -166,6 +166,8 @@ type Graph struct {
 	succsBuilt bool // successor lists are up to date
 	succArena  []int
 	succCounts []int // reusable per-task counter/cursor scratch
+
+	frozen bool // Freeze ran: no further Add or DatumID interning
 }
 
 // New returns an empty graph.
@@ -227,10 +229,21 @@ func (g *Graph) Data() *Interner { return g.data }
 // NumData returns the number of distinct datum names seen so far.
 func (g *Graph) NumData() int { return g.data.Len() }
 
+// Freeze builds the successor lists and makes the graph immutable: Add
+// and DatumID panic afterwards. A frozen graph is only ever read, so any
+// number of goroutines may walk it concurrently.
+func (g *Graph) Freeze() {
+	g.ensureSuccs()
+	g.frozen = true
+}
+
 // DatumID interns name and grows the per-datum bookkeeping to cover it.
 // All datum IDs handed to the rest of the stack come from here (or from
 // the workflow layer calling Intern plus its own growth).
 func (g *Graph) DatumID(name string) int32 {
+	if g.frozen {
+		panic("dag: DatumID on a frozen graph")
+	}
 	id := g.data.Intern(name)
 	for int(id) >= len(g.lastWriter) {
 		g.lastWriter = append(g.lastWriter, -1)
@@ -312,6 +325,9 @@ func (g *Graph) reserveDeps(n int) []int {
 // higher IDs, so the graph is acyclic by construction and insertion order
 // is a valid topological order. The params slice is copied.
 func (g *Graph) Add(name string, payload any, params ...Param) *Task {
+	if g.frozen {
+		panic("dag: Add on a frozen graph")
+	}
 	t := g.allocTask()
 	t.ID = len(g.tasks)
 	t.Name = name
@@ -446,6 +462,26 @@ func (g *Graph) Version(data string) int {
 	return int(g.versions[id])
 }
 
+// LevelWidths returns the number of tasks on each DAG level, index 0
+// being the sources: the shape Levels describes, counted in one pass
+// without materializing the per-level ID lists.
+func (g *Graph) LevelWidths() []int {
+	if len(g.tasks) == 0 {
+		return nil
+	}
+	maxLevel := 0
+	for _, t := range g.tasks {
+		if t.Level > maxLevel {
+			maxLevel = t.Level
+		}
+	}
+	widths := make([]int, maxLevel+1)
+	for _, t := range g.tasks {
+		widths[t.Level]++
+	}
+	return widths
+}
+
 // Levels groups task IDs by DAG level, index 0 being the sources.
 func (g *Graph) Levels() [][]int {
 	if len(g.tasks) == 0 {
@@ -468,17 +504,15 @@ func (g *Graph) Levels() [][]int {
 // "DAG maximum width" (degree of task parallelism).
 func (g *Graph) MaxWidth() int {
 	w := 0
-	for _, lvl := range g.Levels() {
-		if len(lvl) > w {
-			w = len(lvl)
-		}
+	for _, n := range g.LevelWidths() {
+		w = max(w, n)
 	}
 	return w
 }
 
 // MaxHeight returns the number of levels: the paper's "DAG maximum height"
 // (degree of task dependency).
-func (g *Graph) MaxHeight() int { return len(g.Levels()) }
+func (g *Graph) MaxHeight() int { return len(g.LevelWidths()) }
 
 // Roots returns the IDs of tasks with no dependencies.
 func (g *Graph) Roots() []int {

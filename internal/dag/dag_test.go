@@ -111,6 +111,35 @@ func TestLevelsPartitionTasks(t *testing.T) {
 	}
 }
 
+func TestFrozenGraphRejectsMutation(t *testing.T) {
+	g := New()
+	g.Add("a", nil, Param{Data: "x", Dir: Out})
+	g.Add("b", nil, Param{Data: "x", Dir: In})
+	g.Freeze()
+	if s := g.Task(0).Succs(); len(s) != 1 || s[0] != 1 {
+		t.Fatalf("succs of a frozen graph = %v, want [1]", s)
+	}
+	for _, m := range []struct {
+		name   string
+		mutate func()
+	}{
+		{"Add", func() { g.Add("c", nil, Param{Data: "x", Dir: In}) }},
+		{"DatumID", func() { g.DatumID("y") }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a frozen graph did not panic", m.name)
+				}
+			}()
+			m.mutate()
+		}()
+	}
+	if g.Len() != 2 || g.NumData() != 1 {
+		t.Fatalf("frozen graph changed: %d tasks, %d data", g.Len(), g.NumData())
+	}
+}
+
 func TestCountByName(t *testing.T) {
 	g := New()
 	g.Add("mm", nil, Param{Data: "a", Dir: Out})
@@ -177,6 +206,16 @@ func TestRandomDAGInvariants(t *testing.T) {
 		}
 		if g.MaxWidth() < 1 || g.MaxHeight() < 1 {
 			return false
+		}
+		// LevelWidths counts exactly what Levels lists.
+		levels, widths := g.Levels(), g.LevelWidths()
+		if len(levels) != len(widths) {
+			return false
+		}
+		for i, lvl := range levels {
+			if len(lvl) != widths[i] {
+				return false
+			}
 		}
 		// Every non-root task's level exceeds all of its deps' levels.
 		for _, task := range g.Tasks() {

@@ -151,18 +151,21 @@ type Cell struct {
 	Complexity float64
 }
 
-// buildWorkflow constructs the workload for a cell.
-func buildWorkflow(cfg CellConfig) (*runtime.Workflow, error) {
+// buildWorkflow returns the workload for a cell, shared through the
+// engine's workflow table when ctx is a runner trial's (runner.Workflow):
+// no execution factor of a cell changes its DAG, so cells differing only
+// in device, storage, policy, cluster or faults run one frozen workflow.
+func buildWorkflow(ctx context.Context, cfg CellConfig) (*runtime.Workflow, error) {
 	switch cfg.Algorithm {
 	case Matmul:
-		return matmul.Build(matmul.Config{Dataset: cfg.Dataset, Grid: cfg.Grid})
+		return runner.Workflow(ctx, matmul.Config{Dataset: cfg.Dataset, Grid: cfg.Grid}, matmul.Build)
 	case MatmulFMA:
-		return matmul.Build(matmul.Config{Dataset: cfg.Dataset, Grid: cfg.Grid, Variant: matmul.FMA})
+		return runner.Workflow(ctx, matmul.Config{Dataset: cfg.Dataset, Grid: cfg.Grid, Variant: matmul.FMA}, matmul.Build)
 	case KMeans:
-		return kmeans.Build(kmeans.Config{
+		return runner.Workflow(ctx, kmeans.Config{
 			Dataset: cfg.Dataset, Grid: cfg.Grid,
 			Clusters: cfg.Clusters, Iterations: cfg.Iterations,
-		})
+		}, kmeans.Build)
 	default:
 		return nil, fmt.Errorf("experiments: unknown algorithm %d", cfg.Algorithm)
 	}
@@ -196,33 +199,33 @@ func scratchOf(ctx context.Context) *cellScratch {
 // the paper's metrics. OOM configurations return a Cell with OOM set
 // rather than an error, mirroring the figures' annotations.
 func RunCell(cfg CellConfig) (Cell, error) {
-	return runCell(cfg, &cellScratch{agg: metrics.NewAggregates()})
+	return RunCellOn(context.Background(), cfg)
 }
 
 // RunCellOn is RunCell for a trial running on a runner worker: the cell
-// reuses the worker slot's simulation arena and aggregator, as RunCells
-// trials do, so a service answering one cell per trial warms them once
-// per worker instead of once per cell. Outside a worker it is RunCell.
+// reuses the worker slot's simulation arena and aggregator, and the
+// engine's built workflows, as RunCells trials do, so a service answering
+// one cell per trial warms them once per worker instead of once per
+// cell. Outside a worker it is RunCell.
+//
+// Records stream into the scratch aggregator as the simulation produces
+// them — the run never materializes a per-task record table — and every
+// aggregate query below reproduces the Collector arithmetic bit-for-bit
+// (see metrics.Aggregates), so cells are byte-identical to the
+// retained-records implementation; the golden figure fixtures pin this.
 func RunCellOn(ctx context.Context, cfg CellConfig) (Cell, error) {
-	return runCell(cfg, scratchOf(ctx))
-}
-
-// runCell is RunCell with caller-provided scratch. Records stream into
-// scratch.agg as the simulation produces them — the run never materializes
-// a per-task record table — and every aggregate query below reproduces the
-// Collector arithmetic bit-for-bit (see metrics.Aggregates), so cells are
-// byte-identical to the retained-records implementation; the golden figure
-// fixtures pin this.
-func runCell(cfg CellConfig, scratch *cellScratch) (Cell, error) {
-	wf, err := buildWorkflow(cfg)
+	wf, err := buildWorkflow(ctx, cfg)
 	if err != nil {
 		return Cell{}, err
 	}
+	widths := wf.LevelWidths()
 	cell := Cell{
 		CellConfig: cfg,
 		Tasks:      wf.Graph.Len(),
-		DAGWidth:   wf.Graph.MaxWidth(),
-		DAGHeight:  wf.Graph.MaxHeight(),
+		DAGHeight:  len(widths),
+	}
+	for _, w := range widths {
+		cell.DAGWidth = max(cell.DAGWidth, w)
 	}
 	part, err := partitionOf(cfg)
 	if err != nil {
@@ -232,6 +235,7 @@ func runCell(cfg CellConfig, scratch *cellScratch) (Cell, error) {
 	cell.GridString = part.GridString()
 	cell.Complexity = headlineComplexity(cfg, part)
 
+	scratch := scratchOf(ctx)
 	scratch.agg.Reset()
 	res, err := runtime.RunSim(wf, runtime.SimConfig{
 		Cluster: cfg.Cluster,
@@ -327,13 +331,19 @@ func CellKey(cfg CellConfig) string {
 // RunPair runs the same configuration on CPU and GPU and returns both
 // cells — the head-to-head comparison every speedup chart needs.
 func RunPair(cfg CellConfig) (cpu, gpu Cell, err error) {
+	return runPair(context.Background(), cfg)
+}
+
+// runPair is RunPair on ctx: inside a runner trial both cells share the
+// worker's scratch and one built workflow.
+func runPair(ctx context.Context, cfg CellConfig) (cpu, gpu Cell, err error) {
 	cfg.Device = costmodel.CPU
-	cpu, err = RunCell(cfg)
+	cpu, err = RunCellOn(ctx, cfg)
 	if err != nil {
 		return
 	}
 	cfg.Device = costmodel.GPU
-	gpu, err = RunCell(cfg)
+	gpu, err = RunCellOn(ctx, cfg)
 	return
 }
 
@@ -341,10 +351,7 @@ func RunPair(cfg CellConfig) (cpu, gpu Cell, err error) {
 // returning cells in configuration order. Identical configurations are
 // simulated once and shared (CellKey memoization).
 func RunCells(ctx context.Context, eng *runner.Engine, label string, cfgs []CellConfig) ([]Cell, error) {
-	return runner.Map(ctx, eng, label, cfgs, CellKey,
-		func(ctx context.Context, cfg CellConfig) (Cell, error) {
-			return runCell(cfg, scratchOf(ctx))
-		})
+	return runner.Map(ctx, eng, label, cfgs, CellKey, RunCellOn)
 }
 
 // Pair is a CPU/GPU cell pair for one factor combination.

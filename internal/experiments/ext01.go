@@ -87,8 +87,8 @@ func runExt1(ctx context.Context, eng *runner.Engine) (Result, error) {
 				ID:    "ext1:" + s.name,
 				Key:   resultcache.KeyOf("ext1pair", cell).Hex(),
 				Codec: runner.JSONCodec[float64](),
-				Run: func(context.Context) (any, error) {
-					cpu, gpu, err := RunPair(cell)
+				Run: func(ctx context.Context) (any, error) {
+					cpu, gpu, err := runPair(ctx, cell)
 					if err != nil {
 						return nil, err
 					}
@@ -105,8 +105,8 @@ func runExt1(ctx context.Context, eng *runner.Engine) (Result, error) {
 				ID:    "ext1:" + s.name,
 				Key:   resultcache.KeyOf("ext1linreg", dataset.KMeansSmall, int64(256), 2).Hex(),
 				Codec: runner.JSONCodec[float64](),
-				Run: func(context.Context) (any, error) {
-					return linregSimSpeedup()
+				Run: func(ctx context.Context) (any, error) {
+					return linregSimSpeedup(ctx)
 				},
 			}
 		}
@@ -130,11 +130,11 @@ func runExt1(ctx context.Context, eng *runner.Engine) (Result, error) {
 	return r, nil
 }
 
-func linregSimSpeedup() (float64, error) {
+func linregSimSpeedup(ctx context.Context) (float64, error) {
 	span := func(dev costmodel.DeviceKind) (float64, error) {
-		wf, err := linreg.Build(linreg.Config{
+		wf, err := runner.Workflow(ctx, linreg.Config{
 			Dataset: dataset.KMeansSmall, Grid: 256, Iterations: 2,
-		})
+		}, linreg.Build)
 		if err != nil {
 			return 0, err
 		}

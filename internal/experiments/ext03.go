@@ -51,15 +51,15 @@ func runExt3(ctx context.Context, eng *runner.Engine) (Result, error) {
 	}
 	rows, err := runner.Map(ctx, eng, "ext3", specs,
 		func(s ext3Spec) string { return resultcache.KeyOf("ext3", s.slow, int(s.pol)).Hex() },
-		func(_ context.Context, s ext3Spec) (Ext3Row, error) {
+		func(ctx context.Context, s ext3Spec) (Ext3Row, error) {
 			speeds := make([]float64, spec.Nodes)
 			for i := range speeds {
 				speeds[i] = 1
 			}
 			speeds[0] = s.slow
-			wf, err := kmeans.Build(kmeans.Config{
+			wf, err := runner.Workflow(ctx, kmeans.Config{
 				Dataset: dataset.KMeansSmall, Grid: 128, Clusters: 10,
-			})
+			}, kmeans.Build)
 			if err != nil {
 				return Ext3Row{}, err
 			}

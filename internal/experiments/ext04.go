@@ -83,10 +83,10 @@ func runExt4(ctx context.Context, eng *runner.Engine) (Result, error) {
 		// Keyed on the fault config itself, not the level name: renaming
 		// "moderate" must not alias two different fault schedules.
 		func(s ext4Spec) string { return resultcache.KeyOf("ext4", s.level.cfg, int(s.arch), int(s.pol)).Hex() },
-		func(_ context.Context, s ext4Spec) (Ext4Row, error) {
-			wf, err := kmeans.Build(kmeans.Config{
+		func(ctx context.Context, s ext4Spec) (Ext4Row, error) {
+			wf, err := runner.Workflow(ctx, kmeans.Config{
 				Dataset: dataset.KMeansSmall, Grid: 128, Clusters: 10,
-			})
+			}, kmeans.Build)
 			if err != nil {
 				return Ext4Row{}, err
 			}

@@ -93,11 +93,11 @@ func ext6Speeds(nodes int) []float64 {
 	return speeds
 }
 
-func ext6Run(s ext6Spec) (Ext6Row, error) {
-	wf, err := kmeans.Build(kmeans.Config{
+func ext6Run(ctx context.Context, s ext6Spec) (Ext6Row, error) {
+	wf, err := runner.Workflow(ctx, kmeans.Config{
 		Dataset: dataset.KMeansSmall, Grid: s.shape.grid, Clusters: 10,
 		Iterations: s.shape.iterations,
-	})
+	}, kmeans.Build)
 	if err != nil {
 		return Ext6Row{}, err
 	}
@@ -147,7 +147,7 @@ func runExt6(ctx context.Context, eng *runner.Engine) (Result, error) {
 		func(s ext6Spec) string {
 			return resultcache.KeyOf("ext6", s.shape.name, s.nodes, s.scale, int(s.pol)).Hex()
 		},
-		func(_ context.Context, s ext6Spec) (Ext6Row, error) { return ext6Run(s) })
+		ext6Run)
 	if err != nil {
 		return nil, err
 	}

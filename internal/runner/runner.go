@@ -35,7 +35,11 @@ import (
 // at a time — trials may mutate it without locking — but successive
 // holders are different goroutines, so anything stored must be safe to
 // hand off (plain data, not goroutine-affine handles).
-type Slot struct{ value any }
+type Slot struct {
+	value any
+	// workflows is the owning engine's workflow table (see Workflow).
+	workflows *workflowTable
+}
 
 // Value returns what the previous trial on this slot stored, or nil.
 func (s *Slot) Value() any { return s.value }
@@ -173,6 +177,11 @@ type Stats struct {
 	Failed    int
 	CPUWall   time.Duration
 	Virtual   float64
+	// WorkflowBuilds counts workflows trials built through the engine's
+	// workflow table (see Workflow); WorkflowReuses counts requests it
+	// served with an already built one.
+	WorkflowBuilds int
+	WorkflowReuses int
 }
 
 // Engine executes trial sets on a bounded worker pool. An Engine is safe
@@ -185,6 +194,9 @@ type Engine struct {
 	// processes. Consulted only on first execution of a key (the
 	// in-process memo absorbs repeats within one engine lifetime).
 	cache Cache
+
+	// workflows shares built workflows across the engine's trials.
+	workflows *workflowTable
 
 	mu    sync.Mutex
 	memo  map[string]*memoEntry
@@ -209,7 +221,11 @@ func New(workers int) *Engine {
 	if workers < 1 {
 		workers = runtime.NumCPU()
 	}
-	return &Engine{workers: workers, memo: map[string]*memoEntry{}}
+	return &Engine{
+		workers:   workers,
+		workflows: newWorkflowTable(workflowBudget),
+		memo:      map[string]*memoEntry{},
+	}
 }
 
 // Workers returns the pool bound.
@@ -223,8 +239,10 @@ func (e *Engine) SetCache(c Cache) { e.cache = c }
 // Stats returns cumulative accounting across every Run call so far.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
+	st := e.stats
+	e.mu.Unlock()
+	st.WorkflowBuilds, st.WorkflowReuses = e.workflows.counts()
+	return st
 }
 
 // Run executes the trial set and returns outcomes in submission order.
@@ -388,7 +406,7 @@ func (e *Engine) acquireSlot() *Slot {
 		e.free = e.free[:n-1]
 		return s
 	}
-	return &Slot{}
+	return &Slot{workflows: e.workflows}
 }
 
 func (e *Engine) releaseSlot(s *Slot) {

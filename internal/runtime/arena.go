@@ -7,9 +7,10 @@ import (
 
 // Arena recycles a simulated run's substrate allocations across trials:
 // the engine's event-node slabs, heap and ring storage (sim.Arena), the
-// pooled task-run step machines, the per-task dependency counters, and
-// the ready-queue input-location slab. A sweep worker that owns an Arena
-// pays these allocations on its first trial only.
+// pooled task-run step machines, the per-task dependency counters, the
+// ready and granted queues' ring storage, and the ready-queue
+// input-location slab. A sweep worker that owns an Arena pays these
+// allocations on its first trial only.
 //
 // An Arena may serve one run at a time — sharing one across concurrent
 // RunSim calls is a data race. internal/runner hands each worker its own
@@ -23,6 +24,9 @@ type Arena struct {
 	remaining []int
 	inputs    []sched.DataLoc
 	load      []int
+	// queue and granted are the dispatch queues, handed to each run and
+	// back on success.
+	queue, granted sched.Queue
 }
 
 // grabRemaining returns a zeroed dependency-counter slice of length n,

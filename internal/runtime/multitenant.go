@@ -121,8 +121,10 @@ func (c *ClusterSim) Submit(tenant int, wf *Workflow, at float64, onDone func(Wo
 	if at < 0 {
 		return fmt.Errorf("runtime: negative arrival instant %v", at)
 	}
-	if err := wf.Validate(); err != nil {
-		return err
+	if !wf.Frozen() { // Freeze already validated a frozen workflow
+		if err := wf.Validate(); err != nil {
+			return err
+		}
 	}
 	if err := preflightMemory(wf, c.run.cfg); err != nil {
 		return err

@@ -158,8 +158,10 @@ func RunSim(wf *Workflow, cfg SimConfig) (*SimResult, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if err := wf.Validate(); err != nil {
-		return nil, err
+	if !wf.Frozen() { // Freeze already validated a frozen workflow
+		if err := wf.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.NodeSpeed != nil && len(cfg.NodeSpeed) != cfg.Cluster.Nodes {
 		return nil, fmt.Errorf("runtime: NodeSpeed has %d entries for %d nodes",
@@ -211,6 +213,7 @@ func RunSim(wf *Workflow, cfg SimConfig) (*SimResult, error) {
 		// idle task runs back for the caller's next trial.
 		run.eng.Release(&a.nodes)
 		run.releaseRuns(a)
+		a.queue, a.granted = run.queue, run.granted
 	}
 	return res, nil
 }
@@ -258,7 +261,8 @@ type session struct {
 	// mode. Never nil while the session runs.
 	sink      metrics.Sink
 	remaining []int // unmet dependency count per task
-	// levelWidth is tasks per DAG level (solo-task thread-speedup rule).
+	// levelWidth is tasks per DAG level (solo-task thread-speedup rule);
+	// shared with the workflow when it is frozen, so read-only.
 	levelWidth []int
 	// ranks and costs are the per-task lookahead tables the configured
 	// policy consumes (HEFT upward ranks / b-levels, and estimated
@@ -398,6 +402,10 @@ func newSimRun(cfg SimConfig, numDataHint int) (*simRun, error) {
 		r.load = a.grabLoad(cfg.Cluster.Nodes)
 		r.inputSlab = a.inputs[:0]
 		r.adoptRuns(a)
+		r.queue, a.queue = a.queue, sched.Queue{}
+		r.granted, a.granted = a.granted, sched.Queue{}
+		r.queue.Reset()
+		r.granted.Reset()
 	} else {
 		r.load = make([]int, cfg.Cluster.Nodes)
 	}
@@ -477,9 +485,7 @@ func (r *simRun) addSession(wf *Workflow, tenant int32, ranks, costs []float64, 
 	r.nextData += int32(wf.Graph.NumData())
 	r.sessions = append(r.sessions, s)
 	r.active++
-	for _, lvl := range wf.Graph.Levels() {
-		s.levelWidth = append(s.levelWidth, len(lvl))
-	}
+	s.levelWidth = wf.LevelWidths()
 	if r.faults != nil {
 		s.attempts = make([]int32, wf.Graph.Len())
 		s.doneTask = make([]bool, wf.Graph.Len())

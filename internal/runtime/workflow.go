@@ -66,6 +66,11 @@ type Workflow struct {
 
 	// initial holds materialized input blocks for the local backend.
 	initial map[string]*dataset.Block
+
+	// frozen marks a validated, immutable workflow (Freeze); levelWidths
+	// is its tasks-per-level count, computed once there.
+	frozen      bool
+	levelWidths []int
 }
 
 // NewWorkflow returns an empty workflow.
@@ -110,6 +115,9 @@ func (w *Workflow) datumID(key string) int32 {
 // SetSize declares the serialized size of a datum in bytes. Tasks reading
 // the datum deserialize this volume; tasks writing it serialize it.
 func (w *Workflow) SetSize(key string, bytes float64) {
+	if w.frozen {
+		panic("runtime: SetSize on frozen workflow " + w.Name)
+	}
 	id := w.datumID(key)
 	w.sizes[id] = bytes
 	w.sized[id] = true
@@ -136,8 +144,8 @@ func (w *Workflow) SizeByID(id int32) float64 {
 // SetInput attaches a materialized block as workflow input data for the
 // local backend, and records its size for the sim backend.
 func (w *Workflow) SetInput(key string, b *dataset.Block) {
-	w.initial[key] = b
 	w.SetSize(key, float64(b.Bytes()))
+	w.initial[key] = b
 }
 
 // AddTask submits a task: the spec plus its data parameters. Dependencies
@@ -226,6 +234,38 @@ func (w *Workflow) InputKeys() []string {
 		out[i] = w.Graph.Data().Name(id)
 	}
 	return out
+}
+
+// Freeze validates the workflow and makes it immutable, so that any
+// number of concurrent runs may share it read-only: the graph's lazy
+// successor lists are built, the level widths are counted once, and
+// AddTask, SetSize and SetInput panic afterwards. Runs skip the
+// per-run Validate of a frozen workflow. Freezing twice is a no-op.
+func (w *Workflow) Freeze() error {
+	if w.frozen {
+		return nil
+	}
+	if err := w.Validate(); err != nil {
+		return err
+	}
+	w.Graph.Freeze()
+	w.levelWidths = w.Graph.LevelWidths()
+	w.frozen = true
+	return nil
+}
+
+// Frozen reports whether Freeze has run.
+func (w *Workflow) Frozen() bool { return w.frozen }
+
+// LevelWidths returns the number of tasks on each DAG level (see
+// dag.Graph.LevelWidths). A frozen workflow returns the widths Freeze
+// counted, shared by every caller (do not modify); an unfrozen one counts
+// them afresh on every call.
+func (w *Workflow) LevelWidths() []int {
+	if w.frozen {
+		return w.levelWidths
+	}
+	return w.Graph.LevelWidths()
 }
 
 // Validate checks the workflow is runnable: valid DAG, sizes declared for

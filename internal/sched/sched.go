@@ -147,6 +147,14 @@ func (q *Queue) Push(t TaskRef) {
 	q.perTenant[t.Tenant]++
 }
 
+// Reset empties the queue but keeps its ring storage, so a queue
+// recycled across runs (runtime.Arena) grows only past its earlier peak.
+func (q *Queue) Reset() {
+	clear(q.items)
+	clear(q.perTenant)
+	q.head, q.count = 0, 0
+}
+
 // Len returns the number of queued tasks.
 func (q *Queue) Len() int { return q.count }
 

@@ -50,7 +50,9 @@ type Tenant struct {
 	Count int
 	// Build constructs the k-th workflow (k in [0, Count)). It is called
 	// once per arrival before the simulation starts, so it may return the
-	// same workflow object every time — sessions never mutate it.
+	// same workflow object every time — sessions never mutate it — and a
+	// frozen workflow (runtime.Workflow.Freeze) may even be shared with
+	// concurrent runs.
 	Build func(k int) (*runtime.Workflow, error)
 	// Baseline is the workflow's isolated makespan used as the slowdown
 	// denominator. Zero means "measure it": the service runs Build(0)
